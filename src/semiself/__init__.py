@@ -15,7 +15,7 @@ from .nested import (NestedCertificate, SemiStableFit, SemiStableSpec,
 from .ou import (OUConfig, PathBundle, limit_cumulant, sample_limit_law,
                  solve_path, transition_cumulant, validate_limit,
                  verify_langevin)
-from .sampling import EmpiricalCF, SampleBatch, ecf, sample
+from .sampling import EmpiricalCF, SampleBatch, Sampler, ecf, sample
 from .specio import SpecError, load_triplet, spec_hash, triplet_from_dict, \
     triplet_to_dict
 from .suites import run_suite
@@ -27,7 +27,8 @@ __all__ = [
     "Atoms", "CumulantGrid", "DomainError", "EmpiricalCF",
     "FactorizationReport", "InvalidTripletError", "InverseFactor",
     "LevyMeasure", "LevyTriplet", "NestedCertificate", "OUConfig",
-    "PathBundle", "RadialDensity", "SampleBatch", "ScaleLattice", "Segment",
+    "PathBundle", "RadialDensity", "SampleBatch", "Sampler", "ScaleLattice",
+    "Segment",
     "SemiStableFit", "SemiStableSpec", "SemiselfError",
     "SpanMembershipCertificate", "SpecError", "ToleranceError",
     "UnsupportedComponentError", "compound_poisson", "convolve", "cumulant",

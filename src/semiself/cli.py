@@ -39,12 +39,21 @@ def _env_tol(default: float = 1e-10) -> float:
     return float(raw) if raw else default
 
 
-def _apply_thread_env() -> None:
-    threads = os.environ.get("SEMISELF_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise SpecError(message)
+
+
+def _check_simulate_flags(args) -> None:
+    """Refuse flag values the recursion cannot run with (exit 2)."""
+    _require(math.isfinite(args.b) and args.b > 1.0 + mp.MIN_SPAN_MARGIN,
+             f"--b must be a finite span above 1 (got {args.b!r})")
+    _require(math.isfinite(args.c) and args.c > 0.0,
+             f"--c must be a finite positive epoch rate (got {args.c!r})")
+    _require(args.steps >= 0, f"--steps must be nonnegative (got {args.steps})")
+    _require(args.paths > 0, f"--paths must be positive (got {args.paths})")
+    _require(args.max_export >= 0,
+             f"--max-export must be nonnegative (got {args.max_export})")
 
 
 def _parse_grid(text: str, dim: int) -> np.ndarray:
@@ -77,7 +86,7 @@ def _parse_init(text: str, dim: int):
 def _manifest(args, spec_hashes: dict, tolerances: dict,
               t0: float) -> specio.RunManifest:
     return specio.RunManifest(
-        command=[a for a in sys.argv[1:]],
+        command=list(args.argv),
         spec_hashes=spec_hashes,
         seed=getattr(args, "seed", None),
         tolerances=tolerances,
@@ -171,6 +180,7 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.time()
+    _check_simulate_flags(args)
     noise = specio.load_triplet(args.spec)
     cfg = ou.OUConfig(b=args.b, c=args.c)
     init = _parse_init(args.init, noise.dim)
@@ -319,13 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit 2 for usage errors, matching the parse-error code
         return int(exc.code or 0)
+    args.argv = argv            # the manifest records the command that ran
     try:
         return args.func(args)
     except SpecError as exc:

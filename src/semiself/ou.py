@@ -91,6 +91,17 @@ def _resolve_init(init, n_paths: int, dim: int) -> np.ndarray:
     return m.copy()
 
 
+def _recursion(sampler: sp.Sampler, cfg: OUConfig, Z: np.ndarray,
+               epochs: int, seed: int):
+    """Yield ``(dX_k, Z_k)`` for k = 1..epochs, one draw of ``X_{1/c}`` per
+    epoch from the prepared noise sampler."""
+    seeds = np.random.SeedSequence(seed).generate_state(max(epochs, 1))
+    for k in range(epochs):
+        dX = sampler.draw(Z.shape[0], int(seeds[k]), t=1.0 / cfg.c).values
+        Z = (Z + dX) / cfg.b
+        yield dX, Z
+
+
 def solve_path(noise: tp.LevyTriplet, cfg: OUConfig, init, epochs: int,
                n_paths: int = 1, seed: int = 0) -> PathBundle:
     """Run the epoch recursion from ``init`` for ``epochs`` kicks."""
@@ -101,11 +112,9 @@ def solve_path(noise: tp.LevyTriplet, cfg: OUConfig, init, epochs: int,
     states = np.empty((n_paths, epochs + 1, d))
     states[:, 0, :] = Z
     increments = np.empty((n_paths, epochs, d))
-    seeds = np.random.SeedSequence(seed).generate_state(max(epochs, 1))
-    for k in range(epochs):
-        dX = sp.sample(noise, n_paths, int(seeds[k]), t=1.0 / cfg.c).values
+    steps = _recursion(sp.Sampler(noise), cfg, Z, epochs, seed)
+    for k, (dX, Z) in enumerate(steps):
         increments[:, k, :] = dX
-        Z = (Z + dX) / cfg.b
         states[:, k + 1, :] = Z
     return PathBundle(config=cfg, epoch0=cfg.epoch(cfg.t0), states=states,
                       increments=increments, seed=int(seed))
@@ -198,10 +207,11 @@ def sample_limit_law(noise: tp.LevyTriplet, cfg: OUConfig, n: int, seed: int,
     else:
         raise ToleranceError("limit-law truncation did not reach tolerance")
     seeds = np.random.SeedSequence(seed).generate_state(K + 1)
+    sampler = sp.Sampler(noise)
     total = np.zeros((n, noise.dim))
     for k in range(K + 1):
-        total += b ** (-(k + 1.0)) * sp.sample(noise, n, int(seeds[k]),
-                                               t=1.0 / c).values
+        total += b ** (-(k + 1.0)) * sampler.draw(n, int(seeds[k]),
+                                                  t=1.0 / c).values
     return sp.SampleBatch(total, t=1.0 / c, seed=int(seed),
                           metadata={"scheme": "truncated_series",
                                     "terms": K + 1, "tail_bound": bound})
@@ -236,16 +246,16 @@ def validate_limit(noise: tp.LevyTriplet, cfg: OUConfig, n: int = DEFAULT_N,
     lim = limit_cumulant(noise, cfg, zgrid)
     phi_lim = np.exp(lim.values)
 
+    sampler = sp.Sampler(noise)
+    checks = {max(1, epochs - 1 - 2 * i) for i in range(n_stationary_checks)}
+
     def terminal(init, sd):
+        # keeps the snapshot epochs only, never the whole state array
         Z = _resolve_init(init, n, d)
         snaps = {}
-        checks = sorted({max(1, epochs - 1 - 2 * i) for i in range(n_stationary_checks)})
-        seeds = np.random.SeedSequence(sd).generate_state(max(epochs, 1))
-        for k in range(epochs):
-            dX = sp.sample(noise, n, int(seeds[k]), t=1.0 / cfg.c).values
-            Z = (Z + dX) / cfg.b
-            if k + 1 in checks:
-                snaps[k + 1] = Z.copy()
+        for k, (_, Z) in enumerate(_recursion(sampler, cfg, Z, epochs, sd), 1):
+            if k in checks:
+                snaps[k] = Z
         return Z, snaps
 
     m2 = np.full(d, 2.0)

@@ -5,7 +5,8 @@ Lattices with infinitely many small jumps are truncated at a radius
 ``epsilon`` and the removed part is replaced by its Gaussian approximation
 (mean and covariance matched); ``epsilon`` is pushed down until the removed
 part's standard deviation dominates the cutoff, and the choice is recorded in
-the batch metadata.
+the batch metadata.  A ``Sampler`` does this preparation once for a triplet
+that is drawn from repeatedly.
 """
 
 from __future__ import annotations
@@ -175,37 +176,63 @@ def _gaussian_factor(A: np.ndarray) -> np.ndarray:
     return V * np.sqrt(lam)[None, :]
 
 
+class Sampler:
+    """A triplet prepared for repeated draws of ``X_t``.
+
+    The triplet is validated once, and the compound Poisson pool, the
+    Gaussian compensation of the small jumps and the centring shift are built
+    on the first draw with ``t > 0``; the Gaussian factor is cached per ``t``.
+    Preparation consumes no randomness, so ``draw`` returns exactly what a
+    fresh ``sample`` call with the same arguments returns.
+    """
+
+    def __init__(self, triplet: tp.LevyTriplet):
+        tp.validate(triplet).require()
+        self.triplet = triplet
+        self._pools = None
+        self._factors: dict = {}
+
+    def _prepared(self):
+        if self._pools is None:
+            trip = self.triplet
+            points, masses, comp_mean, comp_cov, meta = _jump_pools(trip.levy,
+                                                                    trip.dim)
+            # drift of the non-jump part: remove the centering of simulated
+            # jumps, add the mean of the compensated small jumps
+            shift = trip.drift.astype(float).copy()
+            if points.shape[0]:
+                n2 = np.sum(points * points, axis=1)
+                shift -= (masses / (1.0 + n2)) @ points
+            shift += comp_mean
+            self._pools = (points, masses, trip.gauss + comp_cov, shift, meta)
+        return self._pools
+
+    def draw(self, n: int, seed: int, t: float = 1.0) -> SampleBatch:
+        """Draw ``n`` iid samples from the law of ``X_t``."""
+        if n <= 0:
+            raise ValueError("sample count must be positive")
+        if t < 0.0:
+            raise ValueError("time must be nonnegative")
+        if t == 0.0:
+            return SampleBatch(np.zeros((n, self.triplet.dim)), t=0.0,
+                               seed=seed, metadata={"scheme": "degenerate"})
+        rng = np.random.default_rng(seed)
+        points, masses, cov, shift, meta = self._prepared()
+        L = self._factors.get(t)
+        if L is None:
+            L = self._factors[t] = _gaussian_factor(t * cov)
+        values = rng.standard_normal((n, L.shape[0])) @ L.T + t * shift
+        meta = dict(meta)
+        if points.shape[0]:
+            counts = rng.poisson(lam=t * masses, size=(n, masses.shape[0]))
+            values = values + counts @ points
+            meta["cp_intensity"] = float(t * np.sum(masses))
+        return SampleBatch(values, t=float(t), seed=int(seed), metadata=meta)
+
+
 def sample(triplet: tp.LevyTriplet, n: int, seed: int, t: float = 1.0) -> SampleBatch:
     """Draw ``n`` iid samples from the law of ``X_t``."""
-    if n <= 0:
-        raise ValueError("sample count must be positive")
-    if t < 0.0:
-        raise ValueError("time must be nonnegative")
-    tp.validate(triplet).require()
-    rng = np.random.default_rng(seed)
-    d = triplet.dim
-    if t == 0.0:
-        return SampleBatch(np.zeros((n, d)), t=0.0, seed=seed,
-                           metadata={"scheme": "degenerate"})
-
-    points, masses, comp_mean, comp_cov, meta = _jump_pools(triplet.levy, d)
-
-    # drift of the non-jump part: remove the centering of simulated jumps,
-    # add the mean of the compensated small jumps
-    shift = triplet.drift.astype(float).copy()
-    if points.shape[0]:
-        n2 = np.sum(points * points, axis=1)
-        shift -= (masses / (1.0 + n2)) @ points
-    shift += comp_mean
-
-    L = _gaussian_factor(t * (triplet.gauss + comp_cov))
-    values = rng.standard_normal((n, d)) @ L.T + t * shift
-
-    if points.shape[0]:
-        counts = rng.poisson(lam=t * masses, size=(n, masses.shape[0]))
-        values = values + counts @ points
-        meta = {**meta, "cp_intensity": float(t * np.sum(masses))}
-    return SampleBatch(values, t=float(t), seed=int(seed), metadata=meta)
+    return Sampler(triplet).draw(n, seed, t)
 
 
 def ecf(batch: SampleBatch, grid, q: float = 3.0) -> EmpiricalCF:

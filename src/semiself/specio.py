@@ -209,13 +209,16 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, columns, rows, manifest_hash: str = "") -> None:
+    """Write a CSV; a row is a sequence of cells (floats as ``repr``) or one
+    preformatted line."""
     lines = []
     if manifest_hash:
         lines.append(f"# manifest: {manifest_hash}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, float)
-                              else str(v) for v in row))
+    lines.extend(row if isinstance(row, str) else
+                 ",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                          for v in row)
+                 for row in rows)
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -230,24 +233,22 @@ def cumulant_csv_rows(grid: tp.CumulantGrid):
 
 
 def paths_csv_rows(bundle):
-    """Rows (path, epoch, time, state..., increment...) for a PathBundle."""
+    """Columns (path, epoch, time, state..., increment...) of a PathBundle
+    and one preformatted line per path and epoch."""
     d = bundle.dim
     cols = (["path", "epoch", "time"] + [f"z{i}" for i in range(d)]
             + [f"dx{i}" for i in range(d)])
-    times = bundle.times()
-    rows = []
-    for p in range(bundle.n_paths):
-        for k in range(bundle.epochs + 1):
-            inc = (bundle.increments[p, k - 1] if k > 0 else np.zeros(d))
-            rows.append((p, bundle.epoch0 + k, float(times[k]))
-                        + tuple(bundle.states[p, k]) + tuple(inc))
+    n, k1 = bundle.n_paths, bundle.epochs + 1
+    cells = np.zeros((n, k1, 2 * d))
+    cells[:, :, :d] = bundle.states
+    cells[:, 1:, d:] = bundle.increments
+    epochs = [f"{bundle.epoch0 + k},{t!r}"
+              for k, t in enumerate(bundle.times().tolist())]
+    fmt = "%d,%s" + ",%r" * (2 * d)
+    columns = [cells[:, :, j].ravel().tolist() for j in range(2 * d)]
+    rows = list(map(fmt.__mod__, zip(np.repeat(np.arange(n), k1).tolist(),
+                                     epochs * n, *columns)))
     return cols, rows
-
-
-def batch_csv_rows(batch):
-    d = batch.dim
-    cols = [f"x{i}" for i in range(d)]
-    return cols, [tuple(batch.values[i]) for i in range(batch.n)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -21,6 +22,15 @@ HEAVY = {"schema": 1, "levy": [{"kind": "lattice", "direction": [1.0],
                                 "base": 2.0, "anchor": 1.0,
                                 "segments": [{"w": 1.0, "r": 1.0, "kmin": 1,
                                               "kmax": "inf", "power": 2}]}]}
+ATOMS3 = {"schema": 1, "drift": [0.15],
+          "levy": [{"kind": "atoms", "points": [[1.3], [-0.6], [2.4]],
+                    "weights": [0.9, 0.4, 0.25]}]}
+# infinitely many small jumps: sampled with Gaussian compensation
+FULL_LATTICE = {"schema": 1, "drift": [0.2],
+                "levy": [{"kind": "lattice", "direction": [1.0], "base": 2.0,
+                          "anchor": 1.0,
+                          "segments": [{"w": 0.8, "r": 0.47, "kmin": "-inf",
+                                        "kmax": "inf"}]}]}
 EDGE = {"schema": 1, "levy": [{"kind": "lattice", "direction": [1.0],
                                "base": 2.0, "anchor": 1.0,
                                "segments": [{"w": 1.0, "r": 1.0, "kmin": 1,
@@ -141,3 +151,73 @@ def test_verify_deterministic(tmp_path, capsys):
     assert json.load(open(out1)) == first
     text = capsys.readouterr().out
     assert "PASS iterate." in text
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# sha256 of paths.csv after its manifest line and of report.json without its
+# manifest field; the manifest hash covers library versions, so it is left
+# out of the pin and checked for consistency instead
+GOLDEN = {
+    "atoms-export": (
+        ATOMS3, ["--b", "2.05", "--c", "2", "--steps", "30", "--paths", "300",
+                 "--max-export", "300", "--seed", "11"],
+        "4f1e806f104f8d2816e851a29c9d05c2f5ddbbb90582e42527eaafc19f0f8ff5",
+        "d63bcbdd2ca26a9394b5b9f4304a174018c45e36c3ac666dd1fd248447b4da8c"),
+    "lattice-limit": (
+        FULL_LATTICE, ["--b", "1.95", "--steps", "20", "--paths", "200",
+                       "--init", "limit", "--max-export", "50", "--seed", "5"],
+        "c2205d4a1d71ba6cf00a33501c0b242d76089eac12f5d992e0ad075ba17d073b",
+        "317640ae85ee32ab26631195e232911bd5b8e4c648609b90ef2218ca896a0a18"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_simulate_golden_bytes(tmp_path, name):
+    spec_obj, flags, csv_sha, report_sha = GOLDEN[name]
+    spec = write_spec(tmp_path, "noise.json", spec_obj)
+    out = str(tmp_path / "sim")
+    assert cli.main(["simulate", spec, *flags, "--out", out]) == 0
+    head, body = open(os.path.join(out, "paths.csv"), "rb").read() \
+        .split(b"\n", 1)
+    report = json.load(open(os.path.join(out, "report.json")))
+    assert head.decode() == "# manifest: " + report.pop("manifest")
+    assert _sha(body) == csv_sha
+    assert _sha(json.dumps(report, sort_keys=True).encode()) == report_sha
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--paths", "0"), ("--steps", "-1"), ("--c", "0"), ("--c", "nan"),
+    ("--b", "1"), ("--b", "nan"), ("--b", "inf"), ("--max-export", "-5")])
+def test_simulate_bad_flags_exit_2(tmp_path, capsys, flag, value):
+    spec = write_spec(tmp_path, "g.json", GAUSS)
+    argv = ["simulate", spec, "--b", "2", "--paths", "30", "--steps", "3",
+            "--out", str(tmp_path / "x")]
+    assert cli.main(argv + [flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+    assert not os.path.exists(tmp_path / "x")
+
+
+def test_simulate_max_export_zero_writes_header_only(tmp_path):
+    spec = write_spec(tmp_path, "g.json", GAUSS)
+    out = str(tmp_path / "sim")
+    assert cli.main(["simulate", spec, "--b", "2", "--paths", "30",
+                     "--steps", "3", "--max-export", "0", "--out", out]) == 0
+    lines = open(os.path.join(out, "paths.csv")).read().splitlines()
+    assert lines[1:] == ["path,epoch,time,z0,dx0"]
+    assert json.load(open(os.path.join(out, "report.json")))[
+        "exported_paths"] == 0
+
+
+def test_manifest_records_main_argv(tmp_path):
+    spec = write_spec(tmp_path, "g.json", GAUSS)
+    out = str(tmp_path / "sim")
+    argv = ["simulate", spec, "--b", "2", "--paths", "20", "--steps", "2",
+            "--out", out]
+    assert cli.main(argv) == 0
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert manifest["command"] == argv

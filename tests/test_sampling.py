@@ -74,3 +74,30 @@ def test_two_dim_sampling():
 def test_rejects_nonpositive_n(cp1):
     with pytest.raises(ValueError):
         sp.sample(cp1, 0, seed=0)
+
+
+def test_sampler_draw_matches_sample(cp1):
+    mu = nt.semi_stable_triplet(nt.SemiStableSpec(b=2.0, alpha=1.0))
+    for law in (cp1, mu):
+        sampler = sp.Sampler(law)
+        for t in (1.0, 0.5, 2.0, 0.5, 0.0):
+            a = sampler.draw(500, 9, t)
+            b = sp.sample(law, 500, 9, t)
+            np.testing.assert_array_equal(a.values, b.values)
+            assert a.metadata == b.metadata
+
+
+def test_solve_path_builds_jump_pools_once(monkeypatch):
+    from semiself import ou
+    mu = nt.semi_stable_triplet(nt.SemiStableSpec(b=2.0, alpha=1.0))
+    calls = []
+    build = sp._jump_pools
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(sp, "_jump_pools", counted)
+    ou.solve_path(mu, ou.OUConfig(b=2.0, c=1.0), np.zeros(1), epochs=12,
+                  n_paths=50, seed=3)
+    assert len(calls) == 1
