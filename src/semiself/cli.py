@@ -17,14 +17,13 @@ import time
 import numpy as np
 
 from . import mapping as mp
-from . import measures as ms
 from . import nested
 from . import ou
-from . import sampling as sp
 from . import specio
 from . import suites
 from . import triplets as tp
-from .errors import DomainError, ToleranceError, UnsupportedComponentError
+from .errors import (DomainError, InvalidTripletError, ToleranceError,
+                     UnsupportedComponentError)
 from .specio import SpecError
 
 EXIT_OK = 0
@@ -44,10 +43,19 @@ def _require(ok: bool, message: str) -> None:
         raise SpecError(message)
 
 
+def _check_shared_flags(args) -> None:
+    """Refuse a span or nested level no subcommand can run with (exit 2)."""
+    b = getattr(args, "b", 2.0)     # verify takes neither flag
+    _require(math.isfinite(b) and b > 1.0 + mp.MIN_SPAN_MARGIN,
+             f"--b must be a finite span above 1 (got {b!r})")
+    for flag in ("level", "m"):
+        level = getattr(args, flag, 0)
+        _require(0 <= level <= nested.M_MAX,
+                 f"--{flag} must lie in 0..{nested.M_MAX} (got {level})")
+
+
 def _check_simulate_flags(args) -> None:
     """Refuse flag values the recursion cannot run with (exit 2)."""
-    _require(math.isfinite(args.b) and args.b > 1.0 + mp.MIN_SPAN_MARGIN,
-             f"--b must be a finite span above 1 (got {args.b!r})")
     _require(math.isfinite(args.c) and args.c > 0.0,
              f"--c must be a finite positive epoch rate (got {args.c!r})")
     _require(args.steps >= 0, f"--steps must be nonnegative (got {args.steps})")
@@ -186,9 +194,6 @@ def cmd_simulate(args) -> int:
     init = _parse_init(args.init, noise.dim)
 
     limit_mode = isinstance(init, str) or args.semistationary
-    if limit_mode and noise.levy.components and \
-            not math.isfinite(ms.log_moment(noise.levy, 1)):
-        raise DomainError("log-moment is infinite; no limit law exists")
 
     report: dict = {"b": args.b, "c": args.c, "steps": args.steps,
                     "paths": args.paths, "seed": args.seed}
@@ -338,8 +343,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     args.argv = argv            # the manifest records the command that ran
     try:
+        _check_shared_flags(args)
         return args.func(args)
-    except SpecError as exc:
+    except (SpecError, InvalidTripletError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DomainError, UnsupportedComponentError) as exc:

@@ -12,15 +12,14 @@ factor's Levy measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
 from . import measures as ms
 from . import triplets as tp
-from .errors import (DomainError, InvalidTripletError, ToleranceError,
+from .errors import (InvalidTripletError, ToleranceError,
                      UnsupportedComponentError)
 
 MIN_SPAN_MARGIN = 1e-9
@@ -70,8 +69,8 @@ def _series_envelopes(b, m, arg_scale, zmax):
 
 
 def forward_cumulant(rho: tp.LevyTriplet, b: float, z, *, m: int = 0,
-                     arg_pow: int = 0, tol: float = DEFAULT_TOL,
-                     check_domain: bool = True) -> tp.CumulantGrid:
+                     arg_pow: int = 0,
+                     tol: float = DEFAULT_TOL) -> tp.CumulantGrid:
     """Cumulant of the (m+1 times iterated) mapped law on a grid:
 
         sum_{j>=0} C(j+m, m) * C_rho(b^{arg_pow - j} z)
@@ -81,10 +80,7 @@ def forward_cumulant(rho: tp.LevyTriplet, b: float, z, *, m: int = 0,
     is tracked as an exact power of b so lattice phases stay accurate.
     """
     b = check_span(b)
-    if check_domain and rho.levy.components:
-        if not math.isfinite(ms.log_moment(rho.levy, m + 1)):
-            raise DomainError(
-                f"log^{m + 1}-moment is infinite; input outside mapping domain")
+    ms.require_log_moment(rho.levy, m + 1)
     zgrid = tp._as_grid(z, rho.dim)
     zmax = float(np.max(np.linalg.norm(zgrid, axis=1))) or 1.0
     s = b ** float(arg_pow)
@@ -151,9 +147,12 @@ def _tail_sum_segments(seg: ms.Segment, point_cap: int = 10_000) -> list:
         if seg.kmax == ms.POS_INF:
             raise InvalidTripletError("constant lattice mass with infinite top range")
         if seg.kmin == ms.NEG_INF:
-            # m'(i) = w for i <= kmax is the single tail-sum... impossible:
-            # the full sum over k diverges, measure invalid
-            raise InvalidTripletError("constant lattice mass is not summable")
+            # m'(i) = (kmax - i + 1) w grows linearly as i -> -inf: a valid
+            # measure (the second iterate of an atom), but no sum of
+            # geometric segments, so only the cumulant series maps it
+            raise UnsupportedComponentError(
+                "constant lattice mass down to index -inf has no "
+                "geometric-segment image")
         if seg.kmax - seg.kmin + 1 > point_cap:
             raise ToleranceError("flat lattice range too long to split")
         for k0 in range(int(seg.kmin), int(seg.kmax) + 1):
@@ -179,8 +178,7 @@ def forward_triplet(rho: tp.LevyTriplet, b: float,
     """Exact triplet of the mapped law (atoms / scale lattices only)."""
     b = check_span(b)
     tp.validate(rho).require()
-    if rho.levy.components and not math.isfinite(ms.log_moment(rho.levy, 1)):
-        raise DomainError("log-moment is infinite; input outside mapping domain")
+    ms.require_log_moment(rho.levy)
 
     A_out = rho.gauss / (1.0 - b ** (-2))
 
@@ -239,10 +237,6 @@ class InverseFactor:
     rho: tp.LevyTriplet
     nonnegative: bool
     violations: tuple
-
-    @property
-    def valid(self) -> bool:
-        return self.nonnegative
 
 
 def inverse_factor(mu: tp.LevyTriplet, b: float,
@@ -374,8 +368,7 @@ def injectivity_probe(rho1: tp.LevyTriplet, rho2: tp.LevyTriplet, b: float,
 def classic_selfdecomposable_cumulant(mu0: tp.LevyTriplet, z,
                                       tol: float = 1e-9) -> complex:
     """``integral_0^inf C_mu0(e^{-t} z) dt`` by adaptive quadrature."""
-    if mu0.levy.components and not math.isfinite(ms.log_moment(mu0.levy, 1)):
-        raise DomainError("log-moment is infinite")
+    ms.require_log_moment(mu0.levy)
     zv = np.atleast_1d(np.asarray(z, dtype=float))
 
     def f_re(t):
@@ -389,47 +382,6 @@ def classic_selfdecomposable_cumulant(mu0: tp.LevyTriplet, z,
     if er + ei > 1e3 * tol:
         raise ToleranceError("quadrature did not reach the requested tolerance")
     return complex(vr, vi)
-
-
-# ---------------------------------------------------------------------------
-# k-function representation of (semi-)selfdecomposable radial parts
-
-
-@dataclass(frozen=True)
-class KFunction:
-    """Per-direction nonincreasing radial profiles with spherical weights."""
-
-    entries: tuple  # of (direction, weight, k callable on (0, inf))
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(
-            (ms.unit_direction(d), float(w), k) for d, w, k in self.entries))
-
-
-def _check_nonincreasing(k: Callable, name="k") -> None:
-    s = np.geomspace(1e-6, 1e6, 241)
-    v = np.asarray(k(s), dtype=float)
-    if np.any(np.diff(v) > 1e-12 * max(1.0, float(np.max(np.abs(v))))):
-        raise InvalidTripletError(f"{name} must be nonincreasing")
-    if v[-1] > 1e-6 * max(1.0, abs(float(v[0]))) + 1e-12:
-        raise InvalidTripletError(f"{name} must vanish at infinity")
-
-
-def k_function_to_nu_b(kf: KFunction, b: float) -> ms.LevyMeasure:
-    """Span-b factor measure with density ``(k(r) - k(b r)) / r`` per
-    direction; nonnegativity is automatic from monotonicity of ``k``."""
-    b = check_span(b)
-    comps = []
-    for direction, weight, k in kf.entries:
-        _check_nonincreasing(k)
-
-        def h(s, _k=k, _w=weight):
-            s = np.asarray(s, dtype=float)
-            return _w * (np.asarray(_k(s)) - np.asarray(_k(b * s))) / s
-
-        comps.append(ms.RadialDensity(direction, h, name="k_difference",
-                                      params={"b": b}))
-    return ms.LevyMeasure(tuple(comps))
 
 
 def period_function(b: float, t) -> np.ndarray:

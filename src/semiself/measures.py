@@ -15,13 +15,14 @@ A measure is a finite list of components:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate
 
-from .errors import InvalidTripletError, ToleranceError, UnsupportedComponentError
+from .errors import (DomainError, InvalidTripletError, ToleranceError,
+                     UnsupportedComponentError)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -38,16 +39,6 @@ def unit_direction(v) -> np.ndarray:
     u = v / n
     u.setflags(write=False)
     return u
-
-
-def _frozen_array(a, dtype=float, ndim=None) -> np.ndarray:
-    arr = np.array(a, dtype=dtype)
-    if ndim is not None:
-        arr = np.atleast_1d(arr)
-        while arr.ndim < ndim:
-            arr = arr[None, :]
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -154,12 +145,11 @@ class RadialDensity:
         return self.direction.shape[0]
 
 
-Component = object  # Atoms | ScaleLattice | RadialDensity
-
-
 @dataclass(frozen=True)
 class LevyMeasure:
     components: tuple
+    # highest log-moment order shown finite; set by require_log_moment only
+    _log_finite: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -171,9 +161,6 @@ class LevyMeasure:
     @property
     def dim(self) -> int:
         return self.components[0].dim if self.components else 0
-
-    def is_zero(self) -> bool:
-        return not self.components
 
 
 EMPTY = LevyMeasure(())
@@ -309,19 +296,12 @@ def _enumerate_component(lat: ScaleLattice, small_c, small_p, large_bound, tol):
             np.concatenate(indices), err)
 
 
-def lattice_points(lat: ScaleLattice, mass_tol=1e-14):
-    """Enumerate (points, masses) carrying all but ``mass_tol`` of the
-    integral ``min(|x|^2, 1)`` -- a generic 'almost all of the measure' set."""
-    r, m, _, err = _enumerate_component(lat, 1.0, 2, lambda R: 1.0, mass_tol)
-    return r[:, None] * lat.direction[None, :], m, err
-
-
 # ---------------------------------------------------------------------------
 # generic integration against a measure
 
 
 def sum_over_measure(levy: LevyMeasure, f, *, small_c, small_p, large_bound,
-                     tol, out_shape=(), dtype=complex, quad_tol=None):
+                     tol, out_shape=(), dtype=complex):
     """Evaluate ``integral f(x) nu(dx)`` with an error bound.
 
     ``f(points, lattice=None)`` maps an ``(n, d)`` array to ``(n,) + out_shape``;
@@ -332,7 +312,6 @@ def sum_over_measure(levy: LevyMeasure, f, *, small_c, small_p, large_bound,
     """
     total = np.zeros(out_shape, dtype=dtype)
     err = 0.0
-    qt = quad_tol if quad_tol is not None else max(tol, 1e-12)
     for comp in levy.components:
         if isinstance(comp, Atoms):
             vals = f(comp.points)
@@ -352,7 +331,7 @@ def sum_over_measure(levy: LevyMeasure, f, *, small_c, small_p, large_bound,
                 return np.asarray(_h(np.asarray([s]))[0], dtype=float) * \
                     f(np.asarray([s * _xi]))[0]
 
-            v, e = _quad_vec(integrand, qt)
+            v, e = _quad_vec(integrand, max(tol, 1e-12))
             total = total + v
             err += e
         else:
@@ -490,6 +469,20 @@ def log_moment(levy: LevyMeasure, p: int = 1) -> float:
         else:
             raise UnsupportedComponentError(f"unknown component {type(comp)!r}")
     return total
+
+
+def require_log_moment(levy: LevyMeasure, p: int = 1) -> None:
+    """Domain of the span-b map (p = 1), of its p-fold iterate and of the
+    OU-type limit law: raise DomainError unless the log^p-moment is finite.
+
+    The measure keeps the highest order shown finite.  Its mass outside the
+    unit ball is finite, so that order vouches for every lower one."""
+    if not levy.components or 1 <= p <= levy._log_finite:
+        return
+    if not math.isfinite(log_moment(levy, p)):
+        raise DomainError(f"log^{p}-moment of the Levy measure is infinite; "
+                          "input outside the domain")
+    object.__setattr__(levy, "_log_finite", p)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from . import mapping as mp
 from . import measures as ms
 from . import triplets as tp
-from .errors import DomainError, UnsupportedComponentError
+from .errors import UnsupportedComponentError
 
 M_MAX = 8
 
@@ -94,8 +94,7 @@ def iterated_cumulant(mu: tp.LevyTriplet, b: float, m: int, z,
 def iterated_forward_triplet(mu: tp.LevyTriplet, b: float, m: int) -> tp.LevyTriplet:
     """Exact triplet of the (m+1)-fold mapped law (repeated pushforward)."""
     m = _check_level(m)
-    if mu.levy.components and not math.isfinite(ms.log_moment(mu.levy, m + 1)):
-        raise DomainError(f"log^{m + 1}-moment is infinite")
+    ms.require_log_moment(mu.levy, m + 1)
     out = mu
     for _ in range(m + 1):
         out = mp.forward_triplet(out, b)

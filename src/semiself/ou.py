@@ -14,7 +14,7 @@ characteristic-function bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import mapping as mp
 from . import measures as ms
 from . import sampling as sp
 from . import triplets as tp
-from .errors import DomainError, ToleranceError
+from .errors import ToleranceError
 
 DEFAULT_N = 100_000
 
@@ -192,8 +192,7 @@ def sample_limit_law(noise: tp.LevyTriplet, cfg: OUConfig, n: int, seed: int,
     """Draws from the limit law via the truncated series
     ``sum_{k<=K} b^{-k-1} dX_k`` with the discarded tail's cumulant bound
     below ``tail_tol`` at |z| = zmax."""
-    if noise.levy.components and not math.isfinite(ms.log_moment(noise.levy, 1)):
-        raise DomainError("log-moment is infinite; no limit law exists")
+    ms.require_log_moment(noise.levy)
     b, c = cfg.b, cfg.c
     # once C is in its near-linear regime terms shrink at least like 1/b
     K, bound = 8, math.inf
@@ -236,8 +235,6 @@ def validate_limit(noise: tp.LevyTriplet, cfg: OUConfig, n: int = DEFAULT_N,
                    q: float = 3.0, n_stationary_checks: int = 5) -> LimitReport:
     """Check that the recursion forgets its start and lands on the limit law,
     and that a limit-law start is stationary across epochs."""
-    if noise.levy.components and not math.isfinite(ms.log_moment(noise.levy, 1)):
-        raise DomainError("log-moment is infinite; no limit law exists")
     d = noise.dim
     zgrid = tp._as_grid(grid if grid is not None else
                         np.linspace(-3.0, 3.0, 21), d)

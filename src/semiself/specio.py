@@ -164,7 +164,7 @@ def triplet_from_dict(obj: dict) -> tp.LevyTriplet:
         if extra_drift is not None:
             drift = drift + extra_drift
         return tp.LevyTriplet(gauss, levy, drift)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"malformed triplet spec: {exc}") from exc
 
 

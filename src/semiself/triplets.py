@@ -12,7 +12,7 @@ of a characteristic function, so values are branch-free by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +80,7 @@ def poisson_unit(rate=1.0) -> LevyTriplet:
     return compound_poisson([[1.0]], [rate], drift=[rate * 0.5])
 
 
-def validate(triplet: LevyTriplet, tol_psd: float = TOL_PSD) -> ValidationReport:
+def validate(triplet: LevyTriplet) -> ValidationReport:
     """Check symmetry / positive semidefiniteness of A, absence of mass at the
     origin and finiteness of ``integral (|x|^2 ^ 1) nu``."""
     violations = []
@@ -91,7 +91,7 @@ def validate(triplet: LevyTriplet, tol_psd: float = TOL_PSD) -> ValidationReport
         violations.append("gaussian matrix not symmetric")
     else:
         lam = np.linalg.eigvalsh(0.5 * (A + A.T))
-        if lam.size and lam.min() < -tol_psd:
+        if lam.size and lam.min() < -TOL_PSD:
             violations.append("gaussian matrix not nonnegative definite")
     if not np.all(np.isfinite(triplet.drift)):
         violations.append("non-finite drift")
@@ -214,7 +214,7 @@ def measure_cumulant(levy: ms.LevyMeasure, zgrid: np.ndarray, tol=1e-12,
                      arg_pow=None, zbase=None):
     """Jump part of the cumulant on a grid, with a truncation-error bound."""
     m = zgrid.shape[0]
-    if levy.is_zero() or m == 0:
+    if not levy.components or m == 0:
         return np.zeros(m, dtype=complex), 0.0
     zmax = float(np.max(np.linalg.norm(zgrid, axis=1))) or 1.0
 

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from semiself import cli
+from semiself import mapping as mp
+from semiself import measures as ms
+from semiself import nested
+from semiself import specio
 
 
 def write_spec(tmp_path, name, obj):
@@ -110,13 +114,38 @@ def test_domain_error_exit_3(tmp_path):
                      "--out", str(tmp_path / "x")]) == 3
 
 
-def test_log_moment_edge_accept_reject(tmp_path):
+def test_log_moment_edge_accept_reject(tmp_path, monkeypatch):
+    # each command loads its own measure and computes its log-moment once
+    orders = []
+    log_moment = ms.log_moment
+    monkeypatch.setattr(ms, "log_moment", lambda levy, p=1:
+                        orders.append(p) or log_moment(levy, p))
     spec = write_spec(tmp_path, "edge.json", EDGE)
     out0 = str(tmp_path / "m0")
     assert cli.main(["map", spec, "--b", "2", "--m", "0", "--grid", "2:3",
                      "--tol", "1e-4", "--out", out0]) == 0
+    assert orders == [1]
     assert cli.main(["map", spec, "--b", "2", "--m", "1", "--grid", "2:3",
                      "--out", str(tmp_path / "m1")]) == 3
+    assert orders == [1, 2]
+
+
+def test_map_m1_on_atoms_falls_back_to_series(tmp_path):
+    # the second iterate of an atom has no geometric-segment form, so only
+    # the cumulant series runs; it must equal the map of the exact first map
+    spec = write_spec(tmp_path, "cp.json", ATOMS3)
+    out = str(tmp_path / "m1")
+    assert cli.main(["map", spec, "--b", "2", "--m", "1", "--grid", "3:5",
+                     "--out", out]) == 0
+    assert not os.path.exists(os.path.join(out, "triplet.json"))
+    assert json.load(open(os.path.join(out, "report.json")))[
+        "exact_triplet"] is False
+    rows = open(os.path.join(out, "cumulant.csv")).read().splitlines()[2:]
+    z, re_, im = np.array([[float(v) for v in r.split(",")[:3]]
+                           for r in rows]).T
+    rho = specio.triplet_from_dict(ATOMS3)
+    once = mp.forward_cumulant(mp.forward_triplet(rho, 2.0), 2.0, z)
+    np.testing.assert_allclose(re_ + 1j * im, once.values, atol=1e-8)
 
 
 def test_simulate_writes_report(tmp_path):
@@ -188,18 +217,45 @@ def test_simulate_golden_bytes(tmp_path, name):
     assert _sha(json.dumps(report, sort_keys=True).encode()) == report_sha
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--paths", "0"), ("--steps", "-1"), ("--c", "0"), ("--c", "nan"),
-    ("--b", "1"), ("--b", "nan"), ("--b", "inf"), ("--max-export", "-5")])
-def test_simulate_bad_flags_exit_2(tmp_path, capsys, flag, value):
+# simulate's own flags, then the span and level flags all subcommands share
+BAD_FLAGS = [
+    ("simulate", "--paths", "0"), ("simulate", "--steps", "-1"),
+    ("simulate", "--c", "0"), ("simulate", "--c", "nan"),
+    ("simulate", "--b", "1"), ("simulate", "--b", "nan"),
+    ("simulate", "--b", "inf"), ("simulate", "--max-export", "-5"),
+    ("map", "--b", "1"), ("check", "--b", "1"), ("check", "--b", "nan"),
+    ("check", "--level", "-1"), ("check", "--level", str(nested.M_MAX + 1)),
+    ("map", "--m", "-1"), ("map", "--m", str(nested.M_MAX + 1))]
+BASE_FLAGS = {"simulate": ["--paths", "30", "--steps", "3"],
+              "map": ["--grid", "3:5"], "check": []}
+
+
+@pytest.mark.parametrize("command,flag,value", BAD_FLAGS, ids=[
+    f"{f}-{v}" if c == "simulate" else f"{c}{f}-{v}" for c, f, v in BAD_FLAGS])
+def test_simulate_bad_flags_exit_2(tmp_path, capsys, command, flag, value):
     spec = write_spec(tmp_path, "g.json", GAUSS)
-    argv = ["simulate", spec, "--b", "2", "--paths", "30", "--steps", "3",
+    argv = [command, spec, "--b", "2", *BASE_FLAGS[command],
             "--out", str(tmp_path / "x")]
     assert cli.main(argv + [flag, value]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag in err
     assert not os.path.exists(tmp_path / "x")
+
+
+@pytest.mark.parametrize("text", [
+    '{"schema": 1, "levy": [{"kind": "atoms", "points": [[1.0]], '
+    '"weights": [-0.5]}]}',
+    '{"schema": 1, "gauss": [[NaN]], "drift": [0.0], "levy": []}',
+    '{"schema": 1, "levy": {"kind": "atoms", "points": [[1.0]], '
+    '"weights": [1.0]}}'], ids=["negative-weight", "nan-gauss", "levy-object"])
+def test_invalid_spec_exit_2(tmp_path, capsys, text):
+    spec = str(tmp_path / "bad.json")
+    open(spec, "w").write(text)
+    assert cli.main(["check", spec, "--b", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_simulate_max_export_zero_writes_header_only(tmp_path):

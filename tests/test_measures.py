@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semiself import measures as ms
-from semiself.errors import InvalidTripletError
+from semiself.errors import DomainError, InvalidTripletError
 
 
 def test_segment_mass_law():
@@ -55,6 +55,37 @@ def test_log_moment_divergence_split():
         [1.0], 2.0, (ms.Segment(w=1.0, r=1.0, kmin=1, power=3),)),))
     assert math.isfinite(ms.log_moment(edge, 1))
     assert math.isinf(ms.log_moment(edge, 2))
+
+
+def _power_lattice(power):
+    # m(k) = k^-power at radii 2^k, k >= 1
+    return ms.LevyMeasure((ms.ScaleLattice(
+        [1.0], 2.0, (ms.Segment(w=1.0, r=1.0, kmin=1, power=power),)),))
+
+
+def test_require_log_moment_names_the_order():
+    with pytest.raises(DomainError, match=r"log\^1-moment"):
+        ms.require_log_moment(_power_lattice(2))
+    edge = _power_lattice(3)
+    ms.require_log_moment(edge, 1)
+    with pytest.raises(DomainError, match=r"log\^2-moment"):
+        ms.require_log_moment(edge, 2)
+
+
+def test_require_log_moment_keeps_its_verdict(monkeypatch):
+    lat = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=1.0, r=0.25, kmin=1),))
+    levy = ms.LevyMeasure((lat,))
+    ms.require_log_moment(levy, 2)
+    calls = []
+    monkeypatch.setattr(ms, "log_moment",
+                        lambda *args: calls.append(args) or 0.0)
+    # finite at order 2 implies every lower order: nothing is recomputed
+    ms.require_log_moment(levy, 2)
+    ms.require_log_moment(levy, 1)
+    assert calls == []
+    # a fresh measure with the same components is computed afresh
+    ms.require_log_moment(ms.LevyMeasure((lat,)), 1)
+    assert len(calls) == 1
 
 
 def test_square_one_integral_atoms():
