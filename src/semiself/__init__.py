@@ -21,7 +21,7 @@ from .specio import SpecError, load_triplet, spec_hash, triplet_from_dict, \
 from .suites import run_suite
 from .triplets import (CumulantGrid, LevyTriplet, compound_poisson, convolve,
                        cumulant, cumulant_at, gaussian, poisson_unit, power,
-                       scale, validate)
+                       require_valid, scale, validate)
 
 __all__ = [
     "Atoms", "CumulantGrid", "DomainError", "EmpiricalCF",
@@ -36,7 +36,8 @@ __all__ = [
     "forward_triplet", "gaussian", "inverse_factor", "is_nested_member",
     "is_semi_selfdecomposable", "is_semi_stable", "iterated_cumulant",
     "iterated_forward_triplet", "limit_cumulant", "load_triplet",
-    "log_moment", "poisson_unit", "power", "run_suite", "sample",
+    "log_moment", "poisson_unit", "power", "require_valid", "run_suite",
+    "sample",
     "sample_limit_law", "scale", "semi_stable_triplet", "solve_path",
     "spec_hash", "transition_cumulant", "triplet_from_dict",
     "triplet_to_dict", "validate", "validate_limit", "verify_langevin",

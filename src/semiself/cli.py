@@ -124,7 +124,7 @@ def cmd_map(args) -> int:
         out_trip = inv.rho
         grid = tp.cumulant(inv.rho, zgrid, tol=tol)
         extra = {"inverse": True, "nonnegative": bool(inv.nonnegative),
-                 "violations": [list(map(str, v)) for v in inv.violations]}
+                 "violations": mp.violations_json(inv.violations)}
     else:
         try:
             out_trip = nested.iterated_forward_triplet(mu, args.b, args.m)
@@ -237,14 +237,10 @@ def cmd_simulate(args) -> int:
     mhash = manifest.hash()
     report["manifest"] = mhash
     os.makedirs(args.out, exist_ok=True)
-    export = bundle
     if bundle.n_paths > args.max_export:
-        export = ou.PathBundle(config=bundle.config, epoch0=bundle.epoch0,
-                               states=bundle.states[:args.max_export],
-                               increments=bundle.increments[:args.max_export],
-                               seed=bundle.seed)
         report["exported_paths"] = args.max_export
-    cols, rows = specio.paths_csv_rows(export)
+    cols, rows = specio.paths_csv_rows(bundle.head(args.max_export,
+                                                   bundle.epochs))
     specio.write_csv(os.path.join(args.out, "paths.csv"), cols, rows,
                      manifest_hash=mhash)
     specio.write_json(os.path.join(args.out, "report.json"), report)

@@ -80,6 +80,7 @@ def forward_cumulant(rho: tp.LevyTriplet, b: float, z, *, m: int = 0,
     is tracked as an exact power of b so lattice phases stay accurate.
     """
     b = check_span(b)
+    tp.require_valid(rho)
     ms.require_log_moment(rho.levy, m + 1)
     zgrid = tp._as_grid(z, rho.dim)
     zmax = float(np.max(np.linalg.norm(zgrid, axis=1))) or 1.0
@@ -177,7 +178,7 @@ def forward_triplet(rho: tp.LevyTriplet, b: float,
                     tol: float = DEFAULT_TOL) -> tp.LevyTriplet:
     """Exact triplet of the mapped law (atoms / scale lattices only)."""
     b = check_span(b)
-    tp.validate(rho).require()
+    tp.require_valid(rho)
     ms.require_log_moment(rho.levy)
 
     A_out = rho.gauss / (1.0 - b ** (-2))
@@ -220,7 +221,7 @@ def forward_triplet(rho: tp.LevyTriplet, b: float,
             tol=tol, out_shape=(rho.dim,), dtype=float)
         gamma_out = gamma_out + shift
 
-    return tp.LevyTriplet(A_out, levy_out, gamma_out)
+    return tp._inherit_valid(tp.LevyTriplet(A_out, levy_out, gamma_out), rho)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +233,8 @@ class InverseFactor:
     """Candidate factor ``rho`` with ``C_mu(z) = C_mu(z/b) + C_rho(z)``.
 
     ``nonnegative`` is the exact lattice-level membership criterion;
-    ``violations`` lists ``(direction, lattice_index)`` of negative mass."""
+    ``violations`` lists ``(direction, lattice_index)`` of negative mass,
+    as a tuple of floats and an int."""
 
     rho: tp.LevyTriplet
     nonnegative: bool
@@ -242,6 +244,7 @@ class InverseFactor:
 def inverse_factor(mu: tp.LevyTriplet, b: float,
                    tol: float = DEFAULT_TOL) -> InverseFactor:
     b = check_span(b)
+    tp.require_valid(mu)
     A_rho = (1.0 - b ** (-2)) * mu.gauss
 
     comps = []
@@ -252,7 +255,8 @@ def inverse_factor(mu: tp.LevyTriplet, b: float,
             segs = ms.difference_segments(fam.segments)
             ok, witness = ms.segments_nonnegative(segs)
             if not ok:
-                violations.append((tuple(np.round(fam.direction, 9)), witness))
+                violations.append((tuple(np.round(fam.direction, 9).tolist()),
+                                   int(witness)))
             comps.extend(ms.segments_to_components(fam.direction, b, fam.anchor, segs))
     levy_rho = ms.LevyMeasure(tuple(comps))
 
@@ -272,9 +276,15 @@ def inverse_factor(mu: tp.LevyTriplet, b: float,
             tol=tol, out_shape=(mu.dim,), dtype=float)
         gamma_rho = gamma_rho - T
 
-    rho = tp.LevyTriplet(A_rho, levy_rho, gamma_rho)
+    rho = tp._inherit_valid(tp.LevyTriplet(A_rho, levy_rho, gamma_rho), mu,
+                            not violations)
     return InverseFactor(rho=rho, nonnegative=not violations,
                          violations=tuple(violations))
+
+
+def violations_json(violations) -> list:
+    """Factor violations as JSON lists ``[direction, lattice_index]``."""
+    return [[list(direction), k] for direction, k in violations]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +336,7 @@ class SpanMembershipCertificate:
             "b": self.b,
             "verdict": bool(self.verdict),
             "nonnegative": bool(self.nonnegative),
-            "violations": [list(map(str, v)) for v in self.violations],
+            "violations": violations_json(self.violations),
             "max_residual": self.max_residual,
             "residual_tol": self.residual_tol,
             "factor": specio.triplet_to_dict(self.factor),
@@ -338,7 +348,6 @@ def is_semi_selfdecomposable(mu: tp.LevyTriplet, b: float, grid=None,
     """Membership test: exact nonnegativity of the inverse factor's measure,
     with the cumulant-level factorization residual as a secondary diagnostic."""
     b = check_span(b)
-    tp.validate(mu).require()
     inv = inverse_factor(mu, b)
     rep = factorization_check(mu, inv.rho, b, grid=grid, tol=tol / 10.0)
     verdict = inv.nonnegative and rep.max_residual < tol + rep.err_bound
@@ -346,19 +355,6 @@ def is_semi_selfdecomposable(mu: tp.LevyTriplet, b: float, grid=None,
         b=b, verdict=verdict, factor=inv.rho, nonnegative=inv.nonnegative,
         violations=inv.violations, max_residual=rep.max_residual,
         residual_tol=tol)
-
-
-def injectivity_probe(rho1: tp.LevyTriplet, rho2: tp.LevyTriplet, b: float,
-                      grid=None, tol: float = DEFAULT_TOL):
-    """Max forward-cumulant gap vs max input-cumulant gap on a grid."""
-    zgrid = tp._as_grid(grid if grid is not None else default_grid(rho1.dim),
-                        rho1.dim)
-    f1 = forward_cumulant(rho1, b, zgrid, tol=tol)
-    f2 = forward_cumulant(rho2, b, zgrid, tol=tol)
-    c1 = tp.cumulant(rho1, zgrid, tol=tol)
-    c2 = tp.cumulant(rho2, zgrid, tol=tol)
-    return (float(np.max(np.abs(f1.values - f2.values))),
-            float(np.max(np.abs(c1.values - c2.values))))
 
 
 # ---------------------------------------------------------------------------

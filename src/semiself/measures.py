@@ -29,6 +29,8 @@ POS_INF = float("inf")
 
 _ENUM_CAP = 200_000
 _DIR_DECIMALS = 9
+DROP_TOL = 1e-12     # relative size below which a merged segment is dropped
+SIGN_WINDOW = 96     # indices checked around each finite segment boundary
 
 
 def unit_direction(v) -> np.ndarray:
@@ -486,38 +488,6 @@ def require_log_moment(levy: LevyMeasure, p: int = 1) -> None:
 
 
 # ---------------------------------------------------------------------------
-# polar decomposition (atoms / lattices only)
-
-
-def polar_atoms(levy: LevyMeasure):
-    """Group mass by direction, one spherical weight 1 per occupied direction.
-
-    Returns a list of ``(direction, spherical_weight, radial)`` where
-    ``radial`` is ``("atoms", radii, masses)`` or ``("lattice", lattice)``.
-    """
-    out = []
-    buckets = {}
-    for comp in levy.components:
-        if isinstance(comp, Atoms):
-            radii = np.linalg.norm(comp.points, axis=1)
-            for x, w, r in zip(comp.points, comp.weights, radii):
-                if r == 0.0:
-                    raise InvalidTripletError("mass at origin")
-                key = tuple(np.round(x / r, _DIR_DECIMALS))
-                buckets.setdefault(key, []).append((r, w))
-        elif isinstance(comp, ScaleLattice):
-            out.append((comp.direction, 1.0, ("lattice", comp)))
-        else:
-            raise UnsupportedComponentError("polar decomposition needs atoms or lattices")
-    for key, pairs in buckets.items():
-        pairs.sort()
-        radii = np.array([p[0] for p in pairs])
-        masses = np.array([p[1] for p in pairs])
-        out.append((np.array(key), 1.0, ("atoms", radii, masses)))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # exact lattice algebra used by the span-b mapping
 
 
@@ -585,7 +555,7 @@ def canonical_families(levy: LevyMeasure, b: float, tol=1e-9) -> dict:
     return fams
 
 
-def simplify_segments(segments: Sequence[Segment], drop_tol=1e-12) -> list:
+def simplify_segments(segments: Sequence[Segment]) -> list:
     """Merge same-ratio segments over the common refinement of their ranges."""
     if not segments:
         return []
@@ -612,7 +582,7 @@ def simplify_segments(segments: Sequence[Segment], drop_tol=1e-12) -> list:
                 scale = max(abs(w * r**lo), abs(w * r**kmax))
             elif r != 1.0 and lo != NEG_INF:
                 scale = abs(w * r**lo)
-            if scale > drop_tol * wmax:
+            if scale > DROP_TOL * wmax:
                 out.append(Segment(w=w, r=r, kmin=lo, kmax=kmax))
     return out
 
@@ -630,7 +600,7 @@ def difference_segments(segments: Sequence[Segment]) -> list:
     return simplify_segments(list(segments) + shifted)
 
 
-def segments_nonnegative(segments: Sequence[Segment], window=96):
+def segments_nonnegative(segments: Sequence[Segment]):
     """Decide ``m(k) >= 0`` for all integer k; returns (ok, witness_index).
 
     Checks an explicit window around every finite boundary plus sign of the
@@ -640,8 +610,8 @@ def segments_nonnegative(segments: Sequence[Segment], window=96):
         return True, None
     finite = [s.kmin for s in segments if s.kmin != NEG_INF] + \
              [s.kmax for s in segments if s.kmax != POS_INF]
-    lo = (min(finite) if finite else 0) - window
-    hi = (max(finite) if finite else 0) + window
+    lo = (min(finite) if finite else 0) - SIGN_WINDOW
+    hi = (max(finite) if finite else 0) + SIGN_WINDOW
     ks = np.arange(lo, hi + 1, dtype=float)
     m = sum((s.mass(ks) for s in segments), np.zeros_like(ks))
     scale = max(float(np.max(np.abs(m))), 1e-300)

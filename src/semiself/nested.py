@@ -17,7 +17,6 @@ import numpy as np
 from . import mapping as mp
 from . import measures as ms
 from . import triplets as tp
-from .errors import UnsupportedComponentError
 
 M_MAX = 8
 
@@ -131,30 +130,20 @@ def is_nested_member(mu: tp.LevyTriplet, b: float, m: int) -> NestedCertificate:
     """Decide membership in the nested classes up to level m by iterated
     exact differencing of the measure."""
     m = _check_level(m)
-    tp.validate(mu).require()
-    for comp in mu.levy.components:
-        if isinstance(comp, ms.RadialDensity):
-            raise UnsupportedComponentError(
-                "membership needs atoms or scale lattices")
     factors = []
-    verdicts = []
     first_violation = None
     current = mu
-    ok_so_far = True
     for level in range(m + 1):
         inv = mp.inverse_factor(current, b)
         factors.append(inv.rho)
-        if ok_so_far and not inv.nonnegative:
-            ok_so_far = False
-            first_violation = (level, inv.violations[0][1])
-        verdicts.append(ok_so_far)
-        if not ok_so_far:
+        if not inv.nonnegative:
             # deeper factors of a signed measure are not meaningful
+            first_violation = (level, inv.violations[0][1])
             break
         current = inv.rho
-    while len(verdicts) < m + 1:
-        verdicts.append(False)
-    return NestedCertificate(b=float(b), m=m, verdicts=tuple(verdicts),
+    passed = first_violation[0] if first_violation else m + 1
+    return NestedCertificate(b=float(b), m=m,
+                             verdicts=tuple(j < passed for j in range(m + 1)),
                              factors=tuple(factors),
                              first_violation=first_violation)
 
@@ -196,23 +185,15 @@ def semi_stable_triplet(spec: SemiStableSpec, tol: float = 1e-12) -> tp.LevyTrip
         base=b,
         segments=(ms.Segment(w=spec.w, r=b ** (-spec.alpha)),),
         anchor=spec.r0)
-    levy = ms.LevyMeasure((lat,))
     d = lat.dim
-    gamma = np.zeros(d)
-    if abs(spec.alpha - 1.0) > 1e-12:
-        # h = integral b x (1/(1+|bx|^2) - 1/(1+|x|^2)) nu(dx) makes
-        # C(bz) - a C(z) = i<z, gamma (b - a) + h> vanish
-        def integrand(points, lattice=None):
-            n2 = np.sum(points * points, axis=1)
-            return b * points * (1.0 / (1.0 + b * b * n2) - 1.0 / (1.0 + n2))[:, None]
-
-        h, _ = ms.sum_over_measure(
-            levy, integrand,
-            small_c=b * abs(1.0 - b * b), small_p=3,
-            large_bound=lambda R: (b + 1.0 / b) / R,
-            tol=tol, out_shape=(d,), dtype=float)
-        gamma = h / (a - b)
-    return tp.LevyTriplet(np.zeros((d, d)), levy, gamma)
+    driftless = tp.LevyTriplet(np.zeros((d, d)), ms.LevyMeasure((lat,)),
+                               np.zeros(d))
+    if abs(spec.alpha - 1.0) <= 1e-12:
+        return driftless
+    # the drift h of b X (its centering shift) makes
+    # C(bz) - a C(z) = i<z, gamma (b - a) + h> vanish
+    h = tp.scale(driftless, b, tol=tol).drift
+    return tp.LevyTriplet(driftless.gauss, driftless.levy, h / (a - b))
 
 
 @dataclass(frozen=True)
@@ -241,6 +222,7 @@ def is_semi_stable(mu: tp.LevyTriplet, b: float, grid=None,
     reference point with largest |Re C|, then ``c`` by least squares on the
     imaginary parts, then the verdict from the max residual."""
     b = mp.check_span(b)
+    tp.require_valid(mu)
     zgrid = tp._as_grid(grid if grid is not None else
                         mp.default_grid(mu.dim), mu.dim)
     c1 = tp.cumulant(mu, zgrid, tol=tol / 100.0)

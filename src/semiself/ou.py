@@ -25,6 +25,8 @@ from . import triplets as tp
 from .errors import ToleranceError
 
 DEFAULT_N = 100_000
+LIMIT_TAIL_TOL = 1e-4       # cumulant bound of the dropped limit-series tail
+STATIONARY_CHECKS = 5       # epochs checked for stationarity of a limit start
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,12 @@ class PathBundle:
 
     def times(self) -> np.ndarray:
         return (self.epoch0 + np.arange(self.epochs + 1)) / self.config.c
+
+    def head(self, n_paths: int, epochs: int) -> PathBundle:
+        """The first ``n_paths`` paths over the first ``epochs`` epochs."""
+        return PathBundle(self.config, self.epoch0,
+                          self.states[:n_paths, :epochs + 1],
+                          self.increments[:n_paths, :epochs], self.seed)
 
     def state_at(self, t: float) -> np.ndarray:
         k = self.config.epoch(t) - self.epoch0
@@ -188,11 +196,12 @@ def transition_cumulant(noise: tp.LevyTriplet, cfg: OUConfig, s: float,
 
 
 def sample_limit_law(noise: tp.LevyTriplet, cfg: OUConfig, n: int, seed: int,
-                     zmax: float = 5.0, tail_tol: float = 1e-4) -> sp.SampleBatch:
+                     zmax: float = 5.0) -> sp.SampleBatch:
     """Draws from the limit law via the truncated series
     ``sum_{k<=K} b^{-k-1} dX_k`` with the discarded tail's cumulant bound
-    below ``tail_tol`` at |z| = zmax."""
+    below ``LIMIT_TAIL_TOL`` at |z| = zmax."""
     ms.require_log_moment(noise.levy)
+    sampler = sp.Sampler(noise)
     b, c = cfg.b, cfg.c
     # once C is in its near-linear regime terms shrink at least like 1/b
     K, bound = 8, math.inf
@@ -200,13 +209,12 @@ def sample_limit_law(noise: tp.LevyTriplet, cfg: OUConfig, n: int, seed: int,
         term = abs(tp.cumulant_at(noise, b ** (-(K + 1.0)) *
                                   np.full(noise.dim, zmax / math.sqrt(noise.dim))))
         bound = term / c * b / (b - 1.0) * 2.0
-        if bound < tail_tol:
+        if bound < LIMIT_TAIL_TOL:
             break
         K += 4
     else:
         raise ToleranceError("limit-law truncation did not reach tolerance")
     seeds = np.random.SeedSequence(seed).generate_state(K + 1)
-    sampler = sp.Sampler(noise)
     total = np.zeros((n, noise.dim))
     for k in range(K + 1):
         total += b ** (-(k + 1.0)) * sampler.draw(n, int(seeds[k]),
@@ -232,7 +240,7 @@ class LimitReport:
 
 def validate_limit(noise: tp.LevyTriplet, cfg: OUConfig, n: int = DEFAULT_N,
                    epochs: int = 60, grid=None, seed: int = 0,
-                   q: float = 3.0, n_stationary_checks: int = 5) -> LimitReport:
+                   q: float = 3.0) -> LimitReport:
     """Check that the recursion forgets its start and lands on the limit law,
     and that a limit-law start is stationary across epochs."""
     d = noise.dim
@@ -244,7 +252,7 @@ def validate_limit(noise: tp.LevyTriplet, cfg: OUConfig, n: int = DEFAULT_N,
     phi_lim = np.exp(lim.values)
 
     sampler = sp.Sampler(noise)
-    checks = {max(1, epochs - 1 - 2 * i) for i in range(n_stationary_checks)}
+    checks = {max(1, epochs - 1 - 2 * i) for i in range(STATIONARY_CHECKS)}
 
     def terminal(init, sd):
         # keeps the snapshot epochs only, never the whole state array
@@ -305,11 +313,10 @@ class ShiftReport:
         return max(self.marginal_gap, self.joint_gap) <= 2.0 * self.conf_radius
 
 
-def shift_invariance_gap(noise: tp.LevyTriplet, cfg: OUConfig, times, shift: float,
-                         n: int = DEFAULT_N, seed: int = 0, zvals=None,
-                         q: float = 3.0) -> ShiftReport:
-    """Simulate from a limit-law start and measure how far the marginal and
-    pairwise joint ECFs move under a time shift."""
+def _limit_start_run(noise: tp.LevyTriplet, cfg: OUConfig, times, shift: float,
+                     n: int, seed: int, zvals, q: float, epochs: int = 0):
+    """Simulate from a limit-law start for at least ``epochs`` epochs and past
+    every shifted time; return the bundle and its shift report."""
     times = tuple(float(t) for t in times)
     all_t = times + tuple(t + shift for t in times)
     if min(all_t) < 0.0:
@@ -320,7 +327,7 @@ def shift_invariance_gap(noise: tp.LevyTriplet, cfg: OUConfig, times, shift: flo
     zmax = float(np.max(np.abs(zv))) * math.sqrt(d) * 2.0
 
     init = sample_limit_law(noise, cfg, n, seed, zmax=zmax)
-    epochs = cfg.epoch(max(all_t))
+    epochs = max(epochs, cfg.epoch(max(all_t)))
     bundle = solve_path(noise, cfg, init, epochs, n_paths=n, seed=seed + 1)
 
     def joint(pair_t):
@@ -343,23 +350,31 @@ def shift_invariance_gap(noise: tp.LevyTriplet, cfg: OUConfig, times, shift: flo
                        joint((times[i] + shift, times[j] + shift)))
             joint_gap = max(joint_gap, float(np.max(g)))
 
-    return ShiftReport(times=times, shift=shift, marginal_gap=marg_gap,
-                       joint_gap=joint_gap, conf_radius=q / math.sqrt(n))
+    return bundle, ShiftReport(times=times, shift=shift, marginal_gap=marg_gap,
+                               joint_gap=joint_gap, conf_radius=q / math.sqrt(n))
+
+
+def shift_invariance_gap(noise: tp.LevyTriplet, cfg: OUConfig, times, shift: float,
+                         n: int = DEFAULT_N, seed: int = 0, zvals=None,
+                         q: float = 3.0) -> ShiftReport:
+    """Simulate from a limit-law start and measure how far the marginal and
+    pairwise joint ECFs move under a time shift."""
+    return _limit_start_run(noise, cfg, times, shift, n, seed, zvals, q)[1]
 
 
 def semistationary_path(noise: tp.LevyTriplet, cfg: OUConfig, horizon: float,
                         n: int = DEFAULT_N, seed: int = 0, zvals=None):
     """Realize the process from a limit-law start over [0, horizon] and check
-    shift-invariance of marginal and joint ECFs by one period 1/c."""
+    shift-invariance of marginal and joint ECFs by one period 1/c, on one
+    simulation that runs past both the horizon and the shifted times."""
     period = 1.0 / cfg.c
     upper = max(horizon - period, period)
     times = tuple(np.linspace(0.3 * period, upper, 3))
-    report = shift_invariance_gap(noise, cfg, times, period, n=n, seed=seed,
-                                  zvals=zvals)
-    init = sample_limit_law(noise, cfg, n, seed)
-    bundle = solve_path(noise, cfg, init, cfg.epoch(horizon), n_paths=n,
-                        seed=seed + 1)
-    return bundle, report
+    epochs = cfg.epoch(horizon)
+    bundle, report = _limit_start_run(noise, cfg, times, period, n, seed,
+                                      zvals, 3.0, epochs)
+    # the recursion's first epochs do not depend on how many follow
+    return bundle.head(n, epochs), report
 
 
 # ---------------------------------------------------------------------------

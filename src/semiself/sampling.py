@@ -187,7 +187,7 @@ class Sampler:
     """
 
     def __init__(self, triplet: tp.LevyTriplet):
-        tp.validate(triplet).require()
+        tp.require_valid(triplet)
         self.triplet = triplet
         self._pools = None
         self._factors: dict = {}

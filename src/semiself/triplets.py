@@ -12,7 +12,7 @@ of a characteristic function, so values are branch-free by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,22 +23,14 @@ TOL_PSD = 1e-12
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple
-
-    def require(self):
-        if not self.ok:
-            raise InvalidTripletError("; ".join(self.violations))
-
-
-@dataclass(frozen=True)
 class LevyTriplet:
     """Gaussian matrix, Levy measure and drift of an infinitely divisible law."""
 
     gauss: np.ndarray
     levy: ms.LevyMeasure
     drift: np.ndarray
+    # shown valid; set only by require_valid and _inherit_valid
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         drift = np.atleast_1d(np.asarray(self.drift, dtype=float))
@@ -80,9 +72,9 @@ def poisson_unit(rate=1.0) -> LevyTriplet:
     return compound_poisson([[1.0]], [rate], drift=[rate * 0.5])
 
 
-def validate(triplet: LevyTriplet) -> ValidationReport:
-    """Check symmetry / positive semidefiniteness of A, absence of mass at the
-    origin and finiteness of ``integral (|x|^2 ^ 1) nu``."""
+def validate(triplet: LevyTriplet) -> tuple:
+    """Violations of symmetry / positive semidefiniteness of A, of no mass at
+    the origin and of a finite ``integral (|x|^2 ^ 1) nu``; empty if valid."""
     violations = []
     A = triplet.gauss
     if not np.all(np.isfinite(A)):
@@ -105,7 +97,30 @@ def validate(triplet: LevyTriplet) -> ValidationReport:
         else:
             if not np.isfinite(v):
                 violations.append("integral of |x|^2 ^ 1 diverges")
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return tuple(violations)
+
+
+def require_valid(triplet: LevyTriplet) -> None:
+    """The validity guard of every entry that builds on a law: raise
+    InvalidTripletError unless the triplet is valid.
+
+    The triplet keeps the verdict, so a law is validated once however many
+    entries it passes through."""
+    if triplet._valid:
+        return
+    violations = validate(triplet)
+    if violations:
+        raise InvalidTripletError("; ".join(violations))
+    object.__setattr__(triplet, "_valid", True)
+
+
+def _inherit_valid(image: LevyTriplet, source: LevyTriplet,
+                   holds: bool = True) -> LevyTriplet:
+    """Pass a valid source's verdict to its exact image when ``holds``: span-b
+    images always, inverse factors exactly when their measure is nonnegative."""
+    if holds and source._valid:
+        object.__setattr__(image, "_valid", True)
+    return image
 
 
 @dataclass(frozen=True)

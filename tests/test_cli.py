@@ -10,6 +10,7 @@ from semiself import mapping as mp
 from semiself import measures as ms
 from semiself import nested
 from semiself import specio
+from semiself import triplets as tp
 
 
 def write_spec(tmp_path, name, obj):
@@ -243,19 +244,85 @@ def test_simulate_bad_flags_exit_2(tmp_path, capsys, command, flag, value):
     assert not os.path.exists(tmp_path / "x")
 
 
-@pytest.mark.parametrize("text", [
-    '{"schema": 1, "levy": [{"kind": "atoms", "points": [[1.0]], '
-    '"weights": [-0.5]}]}',
-    '{"schema": 1, "gauss": [[NaN]], "drift": [0.0], "levy": []}',
-    '{"schema": 1, "levy": {"kind": "atoms", "points": [[1.0]], '
-    '"weights": [1.0]}}'], ids=["negative-weight", "nan-gauss", "levy-object"])
-def test_invalid_spec_exit_2(tmp_path, capsys, text):
+INVALID_SPECS = {
+    "negative-weight": '{"schema": 1, "levy": [{"kind": "atoms", '
+                       '"points": [[1.0]], "weights": [-0.5]}]}',
+    "nan-gauss": '{"schema": 1, "gauss": [[NaN]], "drift": [0.0], "levy": []}',
+    "levy-object": '{"schema": 1, "levy": {"kind": "atoms", '
+                   '"points": [[1.0]], "weights": [1.0]}}'}
+# every entry that builds on a law: (subcommand, flags after the spec)
+GUARDED = {"check": ("check", []),
+           "check--semistable": ("check", ["--semistable"]),
+           "map--inverse": ("map", ["--inverse", "--grid", "3:5"]),
+           "map": ("map", ["--grid", "3:5"]),
+           "simulate": ("simulate", ["--paths", "30", "--steps", "3"])}
+INVALID_CASES = [(c, s) for c in GUARDED for s in INVALID_SPECS]
+
+
+@pytest.mark.parametrize("command,spec_id", INVALID_CASES, ids=[
+    s if c == "check" else f"{c}-{s}" for c, s in INVALID_CASES])
+def test_invalid_spec_exit_2(tmp_path, capsys, command, spec_id):
     spec = str(tmp_path / "bad.json")
-    open(spec, "w").write(text)
-    assert cli.main(["check", spec, "--b", "2"]) == 2
+    open(spec, "w").write(INVALID_SPECS[spec_id])
+    sub, flags = GUARDED[command]
+    out = tmp_path / "x"
+    assert cli.main([sub, spec, "--b", "2", *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+# one command of each kind on a law with nonnegative factors at every level,
+# so the nested ladder and the iterated map pass through inherited verdicts
+ONE_VALIDATION = {
+    "map-m0": ["map", "--m", "0", "--grid", "3:5"],
+    "map-m1": ["map", "--m", "1", "--grid", "3:5"],
+    "map-inverse": ["map", "--inverse", "--grid", "3:5"],
+    "check-span": ["check"],
+    "check-level2": ["check", "--level", "2"],
+    "check-semistable": ["check", "--semistable"],
+    "simulate-zero": ["simulate", "--init", "zero", "--paths", "50",
+                      "--steps", "3"],
+    "simulate-limit": ["simulate", "--init", "limit", "--paths", "50",
+                       "--steps", "3"],
+    "simulate-semistationary": ["simulate", "--semistationary", "--paths",
+                                "50", "--steps", "3"]}
+
+
+@pytest.mark.parametrize("name", ONE_VALIDATION)
+def test_each_command_validates_once(tmp_path, monkeypatch, name):
+    calls = []
+    validate = tp.validate
+    monkeypatch.setattr(tp, "validate", lambda t: calls.append(t) or validate(t))
+    spec = write_spec(tmp_path, "lat.json", FULL_LATTICE)
+    sub, *flags = ONE_VALIDATION[name]
+    assert cli.main([sub, spec, "--b", "2", *flags,
+                     "--out", str(tmp_path / "x")]) in (0, 1)
+    assert len(calls) == 1
+
+
+def test_violations_are_numbers(tmp_path):
+    # one negative mass of the factor: direction [1.0], lattice index -1
+    spec = write_spec(tmp_path, "cp.json", CP1)
+    cert = str(tmp_path / "cert.json")
+    assert cli.main(["check", spec, "--b", "2", "--out", cert]) == 1
+    assert json.load(open(cert))["violations"] == [[[1.0], -1]]
+    out = str(tmp_path / "inv")
+    assert cli.main(["map", spec, "--b", "2", "--inverse", "--grid", "3:5",
+                     "--out", out]) == 0
+    report = json.load(open(os.path.join(out, "report.json")))
+    assert report["violations"] == [[[1.0], -1]]
+
+
+def test_semistationary_exports_the_requested_steps(tmp_path):
+    # the shifted times run past a one-step horizon; only the horizon is kept
+    spec = write_spec(tmp_path, "cp.json", CP1)
+    out = str(tmp_path / "sim")
+    assert cli.main(["simulate", spec, "--b", "2", "--steps", "1", "--paths",
+                     "20", "--semistationary", "--out", out]) == 0
+    lines = open(os.path.join(out, "paths.csv")).read().splitlines()
+    assert len(lines) == 2 + 20 * 2
 
 
 def test_simulate_max_export_zero_writes_header_only(tmp_path):

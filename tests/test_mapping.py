@@ -5,8 +5,10 @@ import pytest
 
 from semiself import mapping as mp
 from semiself import measures as ms
+from semiself import nested as nt
+from semiself import suites
 from semiself import triplets as tp
-from semiself.errors import DomainError
+from semiself.errors import DomainError, InvalidTripletError
 
 
 def test_check_span_rejects_unit():
@@ -94,11 +96,6 @@ def test_membership_of_mapped_law(cp1):
                                tp.cumulant(cp1, z).values, atol=1e-9)
 
 
-def test_injectivity_probe_separates(gauss1, cp1):
-    fgap, igap = mp.injectivity_probe(gauss1, cp1, 2.0)
-    assert fgap > 0.1 and igap > 0.1
-
-
 def test_classic_selfdecomposable_gaussian():
     # integral_0^inf -(A/2)(e^-t z)^2 dt = -A z^2 / 4
     v = mp.classic_selfdecomposable_cumulant(tp.gaussian(2.0), 1.5)
@@ -116,3 +113,36 @@ def test_default_grid_shape():
     grid = mp.default_grid(2, zmax=5.0, n=11)
     assert grid.shape == (22, 2)
     assert float(np.max(np.linalg.norm(grid, axis=1))) <= 5.0 + 1e-12
+
+
+def test_inherited_verdicts_are_sound(monkeypatch):
+    # forward images and nonnegative inverse factors take the verdict of a
+    # valid input without validation; validating them afresh must agree
+    images = []
+    for d in (1, 2):
+        for b in (1.1, 2.0, 10.0):
+            for mu in suites.corpus(d, b):
+                fwd = mp.forward_triplet(mu, b, tol=1e-12)
+                images += [fwd, mp.inverse_factor(fwd, b, tol=1e-12).rho]
+                inv = mp.inverse_factor(mu, b, tol=1e-12)
+                if inv.nonnegative:
+                    images.append(inv.rho)
+    for alpha in (0.5, 1.0, 1.5):
+        mu = nt.semi_stable_triplet(nt.SemiStableSpec(b=2.0, alpha=alpha))
+        cert = nt.is_nested_member(mu, 2.0, 5)
+        assert all(cert.verdicts)
+        images += cert.factors
+    validate = tp.validate
+    calls = []
+    monkeypatch.setattr(tp, "validate", lambda t: calls.append(t) or validate(t))
+    for law in images:
+        tp.require_valid(law)
+    assert calls == []
+    assert all(validate(law) == () for law in images)
+
+
+def test_signed_factor_is_not_vouched_for():
+    inv = mp.inverse_factor(tp.poisson_unit(), 2.0)
+    assert not inv.nonnegative
+    with pytest.raises(InvalidTripletError, match="negative lattice mass"):
+        tp.require_valid(inv.rho)

@@ -97,3 +97,18 @@ def test_state_at_floor_semantics():
                            n_paths=3, seed=1)
     np.testing.assert_array_equal(bundle.state_at(2.9),
                                   bundle.states[:, 2, :])
+
+
+def test_semistationary_path_simulates_once(monkeypatch):
+    calls = []
+    for name in ("sample_limit_law", "solve_path"):
+        fn = getattr(ou, name)
+        monkeypatch.setattr(ou, name, lambda *a, _fn=fn, _name=name, **k:
+                            calls.append(_name) or _fn(*a, **k))
+    noise = tp.poisson_unit()
+    bundle, report = ou.semistationary_path(noise, CFG, 1.0, n=300, seed=4)
+    assert sorted(calls) == ["sample_limit_law", "solve_path"]
+    assert bundle.epochs == 1 and bundle.states.shape == (300, 2, 1)
+    # the report is the one a separate shift-invariance run gives
+    assert report == ou.shift_invariance_gap(noise, CFG, report.times, 1.0,
+                                             n=300, seed=4)

@@ -97,12 +97,12 @@ def test_scale_pushes_argument(cp1):
 def test_validate_rejects_asymmetric_gauss():
     bad = tp.LevyTriplet(np.array([[1.0, 0.5], [0.0, 1.0]]), ms.EMPTY,
                          np.zeros(2))
-    assert not tp.validate(bad).ok
+    assert tp.validate(bad) == ("gaussian matrix not symmetric",)
 
 
 def test_validate_accepts_corpus(gauss1, cp1, lat1):
     for mu in (gauss1, cp1, lat1):
-        assert tp.validate(mu).ok
+        assert tp.validate(mu) == ()
 
 
 def test_grid_shapes(lat1):
