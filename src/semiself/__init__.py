@@ -7,8 +7,7 @@ from .mapping import (FactorizationReport, InverseFactor,
                       SpanMembershipCertificate, factorization_check,
                       forward_cumulant, forward_triplet, inverse_factor,
                       is_semi_selfdecomposable)
-from .measures import (Atoms, LevyMeasure, RadialDensity, ScaleLattice,
-                       Segment, log_moment)
+from .measures import Atoms, LevyMeasure, ScaleLattice, Segment, log_moment
 from .nested import (NestedCertificate, SemiStableFit, SemiStableSpec,
                      is_nested_member, is_semi_stable, iterated_cumulant,
                      iterated_forward_triplet, semi_stable_triplet)
@@ -20,15 +19,14 @@ from .specio import SpecError, load_triplet, spec_hash, triplet_from_dict, \
     triplet_to_dict
 from .suites import run_suite
 from .triplets import (CumulantGrid, LevyTriplet, compound_poisson, convolve,
-                       cumulant, cumulant_at, gaussian, poisson_unit, power,
+                       cumulant, cumulant_at, gaussian, poisson_unit,
                        require_valid, scale, validate)
 
 __all__ = [
     "Atoms", "CumulantGrid", "DomainError", "EmpiricalCF",
     "FactorizationReport", "InvalidTripletError", "InverseFactor",
     "LevyMeasure", "LevyTriplet", "NestedCertificate", "OUConfig",
-    "PathBundle", "RadialDensity", "SampleBatch", "Sampler", "ScaleLattice",
-    "Segment",
+    "PathBundle", "SampleBatch", "Sampler", "ScaleLattice", "Segment",
     "SemiStableFit", "SemiStableSpec", "SemiselfError",
     "SpanMembershipCertificate", "SpecError", "ToleranceError",
     "UnsupportedComponentError", "compound_poisson", "convolve", "cumulant",
@@ -36,8 +34,7 @@ __all__ = [
     "forward_triplet", "gaussian", "inverse_factor", "is_nested_member",
     "is_semi_selfdecomposable", "is_semi_stable", "iterated_cumulant",
     "iterated_forward_triplet", "limit_cumulant", "load_triplet",
-    "log_moment", "poisson_unit", "power", "require_valid", "run_suite",
-    "sample",
+    "log_moment", "poisson_unit", "require_valid", "run_suite", "sample",
     "sample_limit_law", "scale", "semi_stable_triplet", "solve_path",
     "spec_hash", "transition_cumulant", "triplet_from_dict",
     "triplet_to_dict", "validate", "validate_limit", "verify_langevin",

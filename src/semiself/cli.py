@@ -33,11 +33,6 @@ EXIT_DOMAIN = 3
 EXIT_TOLERANCE = 4
 
 
-def _env_tol(default: float = 1e-10) -> float:
-    raw = os.environ.get("SEMISELF_TOL")
-    return float(raw) if raw else default
-
-
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise SpecError(message)
@@ -116,24 +111,30 @@ def _emit(path_or_none: str | None, obj: dict) -> None:
 def cmd_map(args) -> int:
     t0 = time.time()
     mu = specio.load_triplet(args.spec)
-    zgrid = _parse_grid(args.grid, mu.dim)
     tol = args.tol
 
-    if args.inverse:
-        inv = mp.inverse_factor(mu, args.b, tol=tol)
-        out_trip = inv.rho
-        grid = tp.cumulant(inv.rho, zgrid, tol=tol)
-        extra = {"inverse": True, "nonnegative": bool(inv.nonnegative),
-                 "violations": mp.violations_json(inv.violations)}
-    else:
-        try:
-            out_trip = nested.iterated_forward_triplet(mu, args.b, args.m)
-        except UnsupportedComponentError:
-            # no exact triplet for this measure; the cumulant grid still runs
-            out_trip = None
-        grid = mp.forward_cumulant(mu, args.b, zgrid, m=args.m, tol=tol)
-        extra = {"inverse": False, "m": args.m,
-                 "exact_triplet": out_trip is not None}
+    # an overflowing grid is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        zgrid = _parse_grid(args.grid, mu.dim)
+        if args.inverse:
+            inv = mp.inverse_factor(mu, args.b, tol=tol)
+            out_trip = inv.rho
+            grid = tp.cumulant(inv.rho, zgrid, tol=tol)
+            extra = {"inverse": True, "nonnegative": bool(inv.nonnegative),
+                     "violations": mp.violations_json(inv.violations)}
+        else:
+            try:
+                out_trip = nested.iterated_forward_triplet(mu, args.b, args.m)
+            except UnsupportedComponentError:
+                # no exact triplet for this measure; the series still runs
+                out_trip = None
+            grid = mp.forward_cumulant(mu, args.b, zgrid, m=args.m, tol=tol)
+            extra = {"inverse": False, "m": args.m,
+                     "exact_triplet": out_trip is not None}
+    if not (np.all(np.isfinite(grid.values))
+            and np.all(np.isfinite(grid.err_bound))):
+        raise ToleranceError("cumulant grid has non-finite values or error "
+                             "bounds; use a smaller --grid ZMAX")
 
     manifest = _manifest(args, {"spec": specio.spec_hash(mu)},
                          {"tol": tol}, t0)
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--m", type=int, default=0,
                        help="iteration level (m+1 applications)")
     p_map.add_argument("--grid", default="5:101", help="cumulant grid ZMAX:N")
-    p_map.add_argument("--tol", type=float, default=_env_tol())
+    p_map.add_argument("--tol", type=float, default=1e-10)
     p_map.add_argument("--out", required=True, help="output directory")
     p_map.set_defaults(func=cmd_map)
 
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="nested class level m")
     p_check.add_argument("--semistable", action="store_true",
                          help="fit the semi-stable scaling relation instead")
-    p_check.add_argument("--tol", type=float, default=_env_tol(1e-8))
+    p_check.add_argument("--tol", type=float, default=1e-8)
     p_check.add_argument("--out", default=None,
                          help="certificate JSON path (default: stdout)")
     p_check.set_defaults(func=cmd_check)
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="limit-law start plus period shift check")
     p_sim.add_argument("--max-export", type=int, default=1000,
                        help="cap on paths written to CSV")
-    p_sim.add_argument("--tol", type=float, default=_env_tol())
+    p_sim.add_argument("--tol", type=float, default=1e-10)
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -1,6 +1,6 @@
-"""Levy measures assembled from atoms, geometric scale lattices and radial densities.
+"""Levy measures assembled from atoms and geometric scale lattices.
 
-A measure is a finite list of components:
+A measure is a finite list of components of two kinds:
 
 * ``Atoms`` -- finitely many point masses.
 * ``ScaleLattice`` -- mass on the geometric radius lattice ``anchor * base**k``
@@ -8,15 +8,16 @@ A measure is a finite list of components:
   piecewise-geometric segments ``m(k) = w * r**k * k**(-power)``.  Keeping the
   law symbolic makes rescaling by ``base`` and differencing exact
   integer-index operations.
-* ``RadialDensity`` -- a density ``h(s)`` on ``(0, inf)`` along one direction,
-  evaluated by adaptive quadrature.
+
+``LevyMeasure`` refuses any other component, so every function here and in
+the mapping, triplet and sampling modules handles exactly these two kinds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate
@@ -127,27 +128,6 @@ class ScaleLattice:
 
 
 @dataclass(frozen=True)
-class RadialDensity:
-    """Density ``h(s)`` on ``(0, inf)`` along ``direction``.
-
-    ``density`` must accept numpy arrays.  ``name``/``params`` carry the
-    serializable description when the density came from the JSON schema.
-    """
-
-    direction: np.ndarray
-    density: Callable
-    name: str = "custom"
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "direction", unit_direction(self.direction))
-
-    @property
-    def dim(self) -> int:
-        return self.direction.shape[0]
-
-
-@dataclass(frozen=True)
 class LevyMeasure:
     components: tuple
     # highest log-moment order shown finite; set by require_log_moment only
@@ -155,6 +135,10 @@ class LevyMeasure:
 
     def __post_init__(self):
         comps = tuple(self.components)
+        for c in comps:
+            if not isinstance(c, (Atoms, ScaleLattice)):
+                raise TypeError("Levy measure components are Atoms or "
+                                f"ScaleLattice, not {type(c).__name__}")
         dims = {c.dim for c in comps}
         if len(dims) > 1:
             raise ValueError("mixed component dimensions")
@@ -166,24 +150,6 @@ class LevyMeasure:
 
 
 EMPTY = LevyMeasure(())
-
-
-# ---------------------------------------------------------------------------
-# quadrature helpers
-
-
-def _quad(fun, tol=1e-9):
-    """Integrate ``fun`` over (0, inf), splitting at 1."""
-    v1, e1 = integrate.quad(fun, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=200)
-    v2, e2 = integrate.quad(fun, 1.0, np.inf, epsabs=tol, epsrel=tol, limit=200)
-    return v1 + v2, e1 + e2
-
-
-def _quad_vec(fun, tol=1e-9):
-    v1, e1 = integrate.quad_vec(fun, 0.0, 1.0, epsabs=tol, epsrel=tol)
-    v2, e2 = integrate.quad_vec(lambda u: fun(1.0 / u) / u**2, 1e-12, 1.0,
-                                epsabs=tol, epsrel=tol)
-    return v1 + v2, e1 + e2
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +284,7 @@ def sum_over_measure(levy: LevyMeasure, f, *, small_c, small_p, large_bound,
         if isinstance(comp, Atoms):
             vals = f(comp.points)
             total = total + np.tensordot(comp.weights, vals, axes=(0, 0))
-        elif isinstance(comp, ScaleLattice):
+        else:
             r, m, ks, tail = _enumerate_component(comp, small_c, small_p,
                                                   large_bound, tol)
             if r.size:
@@ -326,18 +292,6 @@ def sum_over_measure(levy: LevyMeasure, f, *, small_c, small_p, large_bound,
                 vals = f(pts, lattice=(comp, ks))
                 total = total + np.tensordot(m, vals, axes=(0, 0))
             err += tail
-        elif isinstance(comp, RadialDensity):
-            xi = comp.direction
-
-            def integrand(s, _xi=xi, _h=comp.density):
-                return np.asarray(_h(np.asarray([s]))[0], dtype=float) * \
-                    f(np.asarray([s * _xi]))[0]
-
-            v, e = _quad_vec(integrand, max(tol, 1e-12))
-            total = total + v
-            err += e
-        else:
-            raise UnsupportedComponentError(f"unknown component {type(comp)!r}")
     return total, err
 
 
@@ -355,7 +309,7 @@ def component_violations(comp) -> list:
             out.append("nonpositive atom weight")
         if not np.all(np.isfinite(comp.points)) or not np.all(np.isfinite(comp.weights)):
             out.append("non-finite atom data")
-    elif isinstance(comp, ScaleLattice):
+    else:
         b = comp.base
         # signed segment pairs are fine as long as the summed law is >= 0
         ok, witness = segments_nonnegative(comp.segments)
@@ -366,20 +320,6 @@ def component_violations(comp) -> list:
                 out.append("total mass beyond radius 1 diverges")
             if seg.kmin == NEG_INF and seg.r * b * b <= 1.0 + 1e-12:
                 out.append("integral of |x|^2 near 0 diverges")
-    elif isinstance(comp, RadialDensity):
-        s = np.geomspace(1e-6, 1e6, 61)
-        h = np.asarray(comp.density(s), dtype=float)
-        if np.any(h < -1e-12):
-            out.append("negative radial density")
-        try:
-            v, _ = _quad(lambda t: float(comp.density(np.asarray([t]))[0]) * min(t * t, 1.0))
-        except Exception:
-            out.append("radial density quadrature failed")
-        else:
-            if not np.isfinite(v) or v > 1e12:
-                out.append("integral of |x|^2 ^ 1 not finite (radial)")
-    else:
-        out.append(f"unknown component type {type(comp)!r}")
     return out
 
 
@@ -449,27 +389,11 @@ def log_moment(levy: LevyMeasure, p: int = 1) -> float:
             radii = np.linalg.norm(comp.points, axis=1)
             sel = radii > 1.0
             total += float(np.sum(comp.weights[sel] * np.log(radii[sel]) ** p))
-        elif isinstance(comp, ScaleLattice):
+        else:
             v = _lattice_log_moment(comp, p)
             if math.isinf(v):
                 return math.inf
             total += v
-        elif isinstance(comp, RadialDensity):
-            # substitute u = log(s); divergence shows up as a huge or failed quad
-            def integrand(u, _h=comp.density, _p=p):
-                s = math.exp(u)
-                return float(_h(np.asarray([s]))[0]) * s * u**_p
-
-            try:
-                v, e = integrate.quad(integrand, 0.0, 60.0, limit=300)
-                vtail, _ = integrate.quad(integrand, 60.0, 2000.0, limit=300)
-            except Exception:
-                return math.inf
-            if not np.isfinite(v) or v + vtail > 1e10 or vtail > max(1e-6 * v, 1e-9):
-                return math.inf
-            total += v + vtail
-        else:
-            raise UnsupportedComponentError(f"unknown component {type(comp)!r}")
     return total
 
 
@@ -540,7 +464,7 @@ def canonical_families(levy: LevyMeasure, b: float, tol=1e-9) -> dict:
                 raise InvalidTripletError("mass at origin")
             for x, w, r in zip(comp.points, comp.weights, radii):
                 add(x / r, r, Segment(w=float(w), r=1.0, kmin=0, kmax=0))
-        elif isinstance(comp, ScaleLattice):
+        else:
             if abs(comp.base - b) > tol * b:
                 raise UnsupportedComponentError(
                     "lattice base must match the mapping span for exact algebra")
@@ -549,9 +473,6 @@ def canonical_families(levy: LevyMeasure, b: float, tol=1e-9) -> dict:
                     raise UnsupportedComponentError(
                         "power-law lattice segments support cumulant-level maps only")
                 add(comp.direction, comp.anchor, seg)
-        else:
-            raise UnsupportedComponentError(
-                "triplet-level mapping needs atoms or scale lattices")
     return fams
 
 

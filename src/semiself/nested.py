@@ -17,6 +17,7 @@ import numpy as np
 from . import mapping as mp
 from . import measures as ms
 from . import triplets as tp
+from .errors import DomainError
 
 M_MAX = 8
 
@@ -93,6 +94,7 @@ def iterated_cumulant(mu: tp.LevyTriplet, b: float, m: int, z,
 def iterated_forward_triplet(mu: tp.LevyTriplet, b: float, m: int) -> tp.LevyTriplet:
     """Exact triplet of the (m+1)-fold mapped law (repeated pushforward)."""
     m = _check_level(m)
+    tp.require_valid(mu)
     ms.require_log_moment(mu.levy, m + 1)
     out = mu
     for _ in range(m + 1):
@@ -230,7 +232,7 @@ def is_semi_stable(mu: tp.LevyTriplet, b: float, grid=None,
     re = np.abs(c1.values.real)
     i0 = int(np.argmax(re))
     if re[i0] < 1e-12:
-        raise ValueError("degenerate law: Re C vanishes on the whole grid")
+        raise DomainError("degenerate law: Re C vanishes on the whole grid")
     a = float(c2.values.real[i0] / c1.values.real[i0])
     # a Im C(z) - Im C(bz) = <c, z>
     rhs = a * c1.values.imag - c2.values.imag

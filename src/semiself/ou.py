@@ -200,8 +200,8 @@ def sample_limit_law(noise: tp.LevyTriplet, cfg: OUConfig, n: int, seed: int,
     """Draws from the limit law via the truncated series
     ``sum_{k<=K} b^{-k-1} dX_k`` with the discarded tail's cumulant bound
     below ``LIMIT_TAIL_TOL`` at |z| = zmax."""
+    sampler = sp.Sampler(noise)      # validity before domain, as everywhere
     ms.require_log_moment(noise.levy)
-    sampler = sp.Sampler(noise)
     b, c = cfg.b, cfg.c
     # once C is in its near-linear regime terms shrink at least like 1/b
     K, bound = 8, math.inf

@@ -139,7 +139,7 @@ def _jump_pools(levy: ms.LevyMeasure, d: int):
         if isinstance(comp, ms.Atoms):
             pts_list.append(comp.points)
             mass_list.append(comp.weights)
-        elif isinstance(comp, ms.ScaleLattice):
+        else:
             infinite_small = any(s.kmin == ms.NEG_INF for s in comp.segments)
             eps = _choose_epsilon(comp) if infinite_small else 0.0
             if infinite_small:
@@ -154,12 +154,6 @@ def _jump_pools(levy: ms.LevyMeasure, d: int):
                 pts, m, *_ = _lattice_jump_pool(comp, float(comp.radius(k_lo)))
             pts_list.append(pts)
             mass_list.append(m)
-        elif isinstance(comp, ms.RadialDensity):
-            raise UnsupportedComponentError(
-                "radial-density components are not samplable; "
-                "discretize to a lattice first")
-        else:
-            raise UnsupportedComponentError(f"unknown component {type(comp)!r}")
     if pts_list:
         points = np.concatenate(pts_list, axis=0)
         masses = np.concatenate(mass_list)

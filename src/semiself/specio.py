@@ -2,21 +2,21 @@
 
 A triplet spec is a JSON object
 
-    {"gauss": [[...]], "drift": [...], "levy": [component, ...]}
+    {"schema": 1, "gauss": [[...]], "drift": [...], "levy": [component, ...]}
 
-with component kinds "atoms", "lattice", "radial" (a named density form from
-the registry) and "semistable" (expands to its exact scale lattice; the
-strict drift it induces is added to the triplet drift unless the component
-sets "strict_drift": false).  Infinite lattice bounds serialize as the
-strings "-inf" / "inf".  All writers are atomic (temp file + rename) and every
-output can carry the sha256 hash of the spec it came from.
+with component kinds "atoms", "lattice" and "semistable" (expands to its
+exact scale lattice; the strict drift it induces is added to the triplet
+drift unless the component sets "strict_drift": false); any other kind, or a
+"schema" other than ``SCHEMA_VERSION``, is a SpecError.  A spec without
+"schema" is read as the current version.  Infinite lattice bounds serialize
+as the strings "-inf" / "inf".  All writers are atomic (temp file + rename)
+and every output can carry the sha256 hash of the spec it came from.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import platform
 import tempfile
@@ -33,40 +33,6 @@ SCHEMA_VERSION = 1
 
 class SpecError(SemiselfError):
     """The JSON spec does not match the schema."""
-
-
-# ---------------------------------------------------------------------------
-# named radial density forms (serializable subset of RadialDensity)
-
-
-def _power_exp(params):
-    w = float(params.get("w", 1.0))
-    p = float(params.get("p", 1.0))
-    a = float(params.get("a", 1.0))
-
-    def h(s):
-        s = np.asarray(s, dtype=float)
-        return w * s ** (-p) * np.exp(-a * s)
-
-    return h
-
-
-def _log_tail(params):
-    """Density ~ w / (s log(s)^q) beyond e, 0 inside; log-moment boundary probe."""
-    w = float(params.get("w", 1.0))
-    q = float(params.get("q", 3.0))
-
-    def h(s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        sel = s > math.e
-        out[sel] = w / (s[sel] * np.log(s[sel]) ** q)
-        return out
-
-    return h
-
-
-RADIAL_FORMS = {"power_exp": _power_exp, "log_tail": _log_tail}
 
 
 # ---------------------------------------------------------------------------
@@ -93,19 +59,12 @@ def _component_to_dict(comp) -> dict:
     if isinstance(comp, ms.Atoms):
         return {"kind": "atoms", "points": comp.points.tolist(),
                 "weights": comp.weights.tolist()}
-    if isinstance(comp, ms.ScaleLattice):
-        return {"kind": "lattice", "direction": comp.direction.tolist(),
-                "base": comp.base, "anchor": comp.anchor,
-                "segments": [{"w": s.w, "r": s.r,
-                              "kmin": _bound_to_json(s.kmin),
-                              "kmax": _bound_to_json(s.kmax),
-                              "power": s.power} for s in comp.segments]}
-    if isinstance(comp, ms.RadialDensity):
-        if comp.name not in RADIAL_FORMS:
-            raise SpecError(f"radial form {comp.name!r} is not serializable")
-        return {"kind": "radial", "direction": comp.direction.tolist(),
-                "form": comp.name, "params": comp.params}
-    raise SpecError(f"unknown component type {type(comp)!r}")
+    return {"kind": "lattice", "direction": comp.direction.tolist(),
+            "base": comp.base, "anchor": comp.anchor,
+            "segments": [{"w": s.w, "r": s.r,
+                          "kmin": _bound_to_json(s.kmin),
+                          "kmax": _bound_to_json(s.kmax),
+                          "power": s.power} for s in comp.segments]}
 
 
 def _component_from_dict(obj: dict):
@@ -122,13 +81,6 @@ def _component_from_dict(obj: dict):
         return ms.ScaleLattice(direction=obj["direction"], base=float(obj["base"]),
                                segments=segs,
                                anchor=float(obj.get("anchor", 1.0))), None
-    if kind == "radial":
-        form = obj.get("form")
-        if form not in RADIAL_FORMS:
-            raise SpecError(f"unknown radial form {form!r}")
-        params = dict(obj.get("params", {}))
-        return ms.RadialDensity(obj["direction"], RADIAL_FORMS[form](params),
-                                name=form, params=params), None
     if kind == "semistable":
         from . import nested
         spec = nested.SemiStableSpec(
@@ -150,6 +102,10 @@ def triplet_to_dict(triplet: tp.LevyTriplet) -> dict:
 
 def triplet_from_dict(obj: dict) -> tp.LevyTriplet:
     try:
+        schema = obj.get("schema", SCHEMA_VERSION)
+        if type(schema) is not int or schema != SCHEMA_VERSION:
+            raise SpecError(f"unsupported spec schema {schema!r}; "
+                            f"this version reads schema {SCHEMA_VERSION}")
         comps = []
         extra_drift = None
         for c in obj.get("levy", []):

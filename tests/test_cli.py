@@ -249,7 +249,10 @@ INVALID_SPECS = {
                        '"points": [[1.0]], "weights": [-0.5]}]}',
     "nan-gauss": '{"schema": 1, "gauss": [[NaN]], "drift": [0.0], "levy": []}',
     "levy-object": '{"schema": 1, "levy": {"kind": "atoms", '
-                   '"points": [[1.0]], "weights": [1.0]}}'}
+                   '"points": [[1.0]], "weights": [1.0]}}',
+    "schema-99": '{"schema": 99, "gauss": [[1.0]], "drift": [0.0], "levy": []}',
+    "radial": '{"schema": 1, "levy": [{"kind": "radial", "direction": [1.0], '
+              '"form": "power_exp", "params": {"w": 1.0, "p": 1.5}}]}'}
 # every entry that builds on a law: (subcommand, flags after the spec)
 GUARDED = {"check": ("check", []),
            "check--semistable": ("check", ["--semistable"]),
@@ -270,6 +273,56 @@ def test_invalid_spec_exit_2(tmp_path, capsys, command, spec_id):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+# a lattice that is both invalid and outside the domain, and one whose mass
+# decays too slowly to bound: each exits alike on every command, because the
+# validity guard runs first
+GUARD_ORDER = {
+    "divergent-mass": ({"schema": 1, "levy": [{
+        "kind": "lattice", "direction": [1.0], "base": 2.0, "anchor": 1.0,
+        "segments": [{"w": 1.0, "r": 1.5, "kmin": 1, "kmax": "inf"}]}]}, 2),
+    "slow-lattice": ({"schema": 1, "levy": [{
+        "kind": "lattice", "direction": [1.0], "base": 2.0, "anchor": 1.0,
+        "segments": [{"w": 1.0, "r": 0.999999, "kmin": 1, "kmax": "inf"}]}]},
+        4)}
+GUARD_COMMANDS = {"check": ["check"],
+                  "map": ["map", "--grid", "2:3"],
+                  "simulate-limit": ["simulate", "--init", "limit",
+                                     "--paths", "10", "--steps", "2"]}
+
+
+@pytest.mark.parametrize("spec_id", GUARD_ORDER)
+@pytest.mark.parametrize("command", GUARD_COMMANDS)
+def test_validity_guard_runs_first(tmp_path, capsys, command, spec_id):
+    spec_obj, code = GUARD_ORDER[spec_id]
+    spec = write_spec(tmp_path, "lat.json", spec_obj)
+    sub, *flags = GUARD_COMMANDS[command]
+    out = tmp_path / "x"
+    assert cli.main([sub, spec, "--b", "2", *flags, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_semistable_degenerate_law_exit_3(tmp_path, capsys):
+    # Re C vanishes on the whole grid: no scaling exponent to fit
+    spec = write_spec(tmp_path, "det.json",
+                      {"schema": 1, "drift": [1.0], "levy": []})
+    assert cli.main(["check", spec, "--b", "2", "--semistable"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: degenerate law") and \
+        err.count("\n") == 1
+
+
+def test_map_refuses_non_finite_cumulants(tmp_path, capsys):
+    spec = write_spec(tmp_path, "g.json", GAUSS)
+    out = tmp_path / "x"
+    assert cli.main(["map", spec, "--b", "2", "--grid", "1e308:3",
+                     "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("tolerance error: ") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -76,3 +76,9 @@ def test_traced_layers_resolve():
         if obj is None:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_exports_resolve():
+    # a stale name in __all__ breaks ``from semiself import *``
+    import semiself
+    assert [n for n in semiself.__all__ if not hasattr(semiself, n)] == []

@@ -94,6 +94,12 @@ def test_square_one_integral_atoms():
     assert ms.square_one_integral(levy) == pytest.approx(1.5)
 
 
+def test_measure_refuses_other_components():
+    # every function branches on Atoms or else ScaleLattice
+    with pytest.raises(TypeError, match="Atoms or ScaleLattice"):
+        ms.LevyMeasure((object(),))
+
+
 def test_origin_mass_rejected():
     from semiself import triplets as tp
     mu = tp.compound_poisson([[0.0]], [1.0])

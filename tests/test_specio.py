@@ -40,16 +40,6 @@ def test_infinite_bounds_serialize():
     assert back.segments[0].kmin == ms.NEG_INF
 
 
-def test_radial_form_roundtrip():
-    comp = ms.RadialDensity([1.0], specio.RADIAL_FORMS["power_exp"](
-        {"w": 2.0, "p": 1.5, "a": 1.0}), name="power_exp",
-        params={"w": 2.0, "p": 1.5, "a": 1.0})
-    d = specio._component_to_dict(comp)
-    back, _ = specio._component_from_dict(d)
-    s = np.array([0.5, 1.0, 2.0])
-    np.testing.assert_allclose(back.density(s), comp.density(s))
-
-
 def test_semistable_expands_with_strict_drift():
     obj = {"levy": [{"kind": "semistable", "b": 2.0, "alpha": 0.5}]}
     mu = specio.triplet_from_dict(obj)
@@ -68,6 +58,11 @@ def test_malformed_specs_raise():
         specio.triplet_from_dict({"levy": [{"kind": "atoms"}]})
     with pytest.raises(SpecError):
         specio.load_triplet("/nonexistent/spec.json")
+    # the schema is the integer SCHEMA_VERSION, or absent
+    for schema in (99, True, "1", 1.0):
+        with pytest.raises(SpecError, match="schema"):
+            specio.triplet_from_dict({"schema": schema, "drift": [0.0]})
+    specio.triplet_from_dict({"schema": 1, "drift": [0.0]})
 
 
 def test_spec_hash_stable_and_sensitive(gauss1):

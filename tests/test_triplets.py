@@ -80,13 +80,6 @@ def test_convolve_adds_cumulants(gauss1, cp1):
         tp.cumulant_at(gauss1, z) + tp.cumulant_at(cp1, z), abs=1e-12)
 
 
-def test_power_scales_cumulant(cp1):
-    z = 0.9
-    half = tp.power(cp1, 0.5)
-    assert tp.cumulant_at(half, z) == pytest.approx(
-        0.5 * tp.cumulant_at(cp1, z), abs=1e-12)
-
-
 def test_scale_pushes_argument(cp1):
     z, s = 1.1, 3.0
     sx = tp.scale(cp1, s)
