@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import measures as ms
 from . import triplets as tp
@@ -364,6 +363,8 @@ def is_semi_selfdecomposable(mu: tp.LevyTriplet, b: float, grid=None,
 def classic_selfdecomposable_cumulant(mu0: tp.LevyTriplet, z,
                                       tol: float = 1e-9) -> complex:
     """``integral_0^inf C_mu0(e^{-t} z) dt`` by adaptive quadrature."""
+    from scipy import integrate
+
     ms.require_log_moment(mu0.levy)
     zv = np.atleast_1d(np.asarray(z, dtype=float))
 

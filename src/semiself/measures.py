@@ -16,11 +16,10 @@ the mapping, triplet and sampling modules handles exactly these two kinds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (DomainError, InvalidTripletError, ToleranceError,
                      UnsupportedComponentError)
@@ -130,8 +129,6 @@ class ScaleLattice:
 @dataclass(frozen=True)
 class LevyMeasure:
     components: tuple
-    # highest log-moment order shown finite; set by require_log_moment only
-    _log_finite: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -341,20 +338,30 @@ def square_one_integral(levy: LevyMeasure, tol=1e-10) -> float:
 # log-moments
 
 
-def _lattice_log_moment(lat: ScaleLattice, p: int) -> float:
-    b, logb, loga = lat.base, math.log(lat.base), math.log(lat.anchor)
-    total = 0.0
+def _outer_segments(lat: ScaleLattice, p: int):
+    """``(segment, first index beyond radius 1)`` of each segment with mass
+    outside the unit ball, or None when the log^p-moment diverges."""
+    kc = -math.log(lat.anchor) / math.log(lat.base)  # radius 1 index
+    out = []
     for seg in lat.segments:
-        kc = -loga / logb  # radius 1 index
         kstart = max(math.floor(kc) + 1, seg.kmin)
         if kstart > seg.kmax:
             continue
-        if seg.kmax == POS_INF:
-            if seg.r > 1.0:
-                return math.inf
-            if seg.r == 1.0 and seg.power - p <= 1:
-                return math.inf
-        k = int(kstart)
+        if seg.kmax == POS_INF and (
+                seg.r > 1.0 or seg.r == 1.0 and seg.power - p <= 1):
+            return None
+        out.append((seg, int(kstart)))
+    return out
+
+
+def _lattice_log_moment(lat: ScaleLattice, p: int) -> float:
+    logb, loga = math.log(lat.base), math.log(lat.anchor)
+    outer = _outer_segments(lat, p)
+    if outer is None:
+        return math.inf
+    total = 0.0
+    for seg, kstart in outer:
+        k = kstart
         acc, prev = 0.0, None
         while True:
             if seg.kmax != POS_INF and k > seg.kmax:
@@ -365,6 +372,8 @@ def _lattice_log_moment(lat: ScaleLattice, p: int) -> float:
                 break
             if seg.kmax == POS_INF and seg.r == 1.0 and k - kstart >= 10_000:
                 # slowly decaying power tail: finish with the integral bound
+                from scipy import integrate
+
                 def f(x, _s=seg, _la=loga, _lb=logb, _p=p):
                     return _s.w * x ** (-_s.power) * (_la + x * _lb) ** _p
 
@@ -401,14 +410,15 @@ def require_log_moment(levy: LevyMeasure, p: int = 1) -> None:
     """Domain of the span-b map (p = 1), of its p-fold iterate and of the
     OU-type limit law: raise DomainError unless the log^p-moment is finite.
 
-    The measure keeps the highest order shown finite.  Its mass outside the
-    unit ball is finite, so that order vouches for every lower one."""
-    if not levy.components or 1 <= p <= levy._log_finite:
-        return
-    if not math.isfinite(log_moment(levy, p)):
+    The verdict is read off the segments in O(segments), without summing:
+    atoms, and segments with a finite top index or inside the unit ball,
+    are finite; one running to index +inf is finite iff ``r < 1``, or
+    ``r == 1`` and ``power - p > 1``.  So it also accepts a valid lattice
+    whose ratio is so close to 1 that ``log_moment`` exceeds its cap."""
+    if any(isinstance(c, ScaleLattice) and _outer_segments(c, p) is None
+           for c in levy.components):
         raise DomainError(f"log^{p}-moment of the Levy measure is infinite; "
                           "input outside the domain")
-    object.__setattr__(levy, "_log_finite", p)
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,11 @@ def _reduced_phases(u: np.ndarray, zbase: np.ndarray, lattice,
     computed in high-precision decimal arithmetic.
 
     ``arg_pow = (pbase, power)`` expresses an exact argument scale
-    ``pbase**power``, so pre-scaled grids never round the phase away.
+    ``pbase**power``, so pre-scaled grids never round the phase away.  When
+    ``pbase`` is the lattice base, a phase depends on the grid column ``j``
+    and the combined exponent ``e = k + power`` only; ``cache`` then keeps
+    one table per component, ``(e0, table)`` with ``table[j, e - e0]`` and NaN
+    for a pair not yet reduced, shared by the terms of a scaled series.
     """
     import decimal
 
@@ -173,10 +177,9 @@ def _reduced_phases(u: np.ndarray, zbase: np.ndarray, lattice,
     prec = 60 + max(int(kmax * math.log10(comp.base)) + 1, 0)
     if arg_pow is not None:
         prec += int(abs(arg_pow[1]) * math.log10(max(arg_pow[0], 2.0))) + 1
-    # when the argument scale shares the lattice base, the phase depends on
-    # the grid column and the combined exponent only, so results are cachable
-    # across the terms of a scaled series
     fold = arg_pow is not None and arg_pow[0] == comp.base
+    es = ks[rows] + int(arg_pow[1]) if fold else ks[rows]
+    out = u.copy()
     with decimal.localcontext() as ctx:
         ctx.prec = prec
         two_pi = decimal.Decimal(_TWO_PI_STR)
@@ -184,24 +187,29 @@ def _reduced_phases(u: np.ndarray, zbase: np.ndarray, lattice,
         scale = (decimal.Decimal(arg_pow[0]) ** int(arg_pow[1])
                  if arg_pow is not None and not fold else decimal.Decimal(1))
         powers: dict = {}
-        out = u.copy()
-        for i, j in zip(rows, cols):
-            k = int(ks[i])
-            e = k + int(arg_pow[1]) if fold else k
-            if cache is not None and fold:
-                hit = cache.get((id(comp), j, e))
-                if hit is not None:
-                    out[i, j] = hit
-                    continue
+
+        def phase(j, e):
             pk = powers.get(e)
             if pk is None:
-                pk = base ** e
-                powers[e] = pk
-            val = float(
-                (decimal.Decimal(float(beta[j])) * scale * pk) % two_pi)
-            out[i, j] = val
-            if cache is not None and fold:
-                cache[(id(comp), j, e)] = val
+                pk = powers[e] = base ** e
+            return float((decimal.Decimal(float(beta[j])) * scale * pk) % two_pi)
+
+        if cache is None or not fold:
+            out[rows, cols] = [phase(j, e)
+                               for j, e in zip(cols.tolist(), es.tolist())]
+            return out
+        e0, table = cache.get(id(comp), (int(es[0]), np.empty((u.shape[1], 0))))
+        lo = min(e0, int(es.min()))
+        hi = max(e0 + table.shape[1], int(es.max()) + 1)
+        if hi - lo > table.shape[1]:
+            grown = np.full((u.shape[1], hi - lo), np.nan)
+            grown[:, e0 - lo:e0 - lo + table.shape[1]] = table
+            e0, table = lo, grown
+            cache[id(comp)] = (e0, table)
+        miss = np.isnan(table[cols, es - e0])
+        for j, e in set(zip(cols[miss].tolist(), es[miss].tolist())):
+            table[j, e - e0] = phase(j, e)
+    out[rows, cols] = table[cols, es - e0]
     return out
 
 

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -51,10 +54,65 @@ def modules_naming(name: str) -> set:
     return out
 
 
-@pytest.mark.parametrize("name,home", [("_valid", "triplets.py"),
-                                       ("_log_finite", "measures.py")])
+@pytest.mark.parametrize("name,home", [("_valid", "triplets.py")])
 def test_verdict_fields_stay_in_their_module(name, home):
     assert modules_naming(name) == {home}
+
+
+def module_level_imports(source: str) -> set:
+    """Top-level package names a module imports when it is loaded: import
+    statements outside every function body."""
+    names = set()
+    todo = list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_module_level_imports_are_detected():
+    src = ("import scipy.special\nfrom numpy import array\n"
+           "class A:\n    import json\n"
+           "def f():\n    from scipy import integrate\n")
+    assert module_level_imports(src) == {"scipy", "numpy", "json"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    # scipy costs most of the start-up; only the commands that need it load it
+    assert "scipy" not in module_level_imports(path.read_text())
+
+
+SCIPY_FREE = {
+    "import": "import semiself",
+    "edge-map": (
+        "import json, os, sys, tempfile\n"
+        "from semiself import cli\n"
+        "d = tempfile.mkdtemp()\n"
+        "spec = os.path.join(d, 'edge.json')\n"
+        "json.dump({'schema': 1, 'levy': [{'kind': 'lattice', "
+        "'direction': [1.0], 'base': 2.0, 'anchor': 1.0, 'segments': "
+        "[{'w': 1.0, 'r': 1.0, 'kmin': 1, 'kmax': 'inf', 'power': 3}]}]}, "
+        "open(spec, 'w'))\n"
+        "assert cli.main(['map', spec, '--b', '2', '--grid', '2:3', "
+        "'--tol', '1e-4', '--out', os.path.join(d, 'out')]) == 0\n")}
+
+
+@pytest.mark.parametrize("name", SCIPY_FREE)
+def test_scipy_stays_unloaded(name):
+    code = SCIPY_FREE[name] + "\nimport sys\nassert 'scipy' not in sys.modules\n"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def traced_layers() -> tuple:

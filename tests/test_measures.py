@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semiself import measures as ms
-from semiself.errors import DomainError, InvalidTripletError
+from semiself import triplets as tp
+from semiself.errors import DomainError, InvalidTripletError, ToleranceError
 
 
 def test_segment_mass_law():
@@ -57,10 +60,13 @@ def test_log_moment_divergence_split():
     assert math.isinf(ms.log_moment(edge, 2))
 
 
+def _lattice(seg, anchor=1.0):
+    return ms.LevyMeasure((ms.ScaleLattice([1.0], 2.0, (seg,), anchor=anchor),))
+
+
 def _power_lattice(power):
     # m(k) = k^-power at radii 2^k, k >= 1
-    return ms.LevyMeasure((ms.ScaleLattice(
-        [1.0], 2.0, (ms.Segment(w=1.0, r=1.0, kmin=1, power=power),)),))
+    return _lattice(ms.Segment(w=1.0, r=1.0, kmin=1, power=power))
 
 
 def test_require_log_moment_names_the_order():
@@ -72,20 +78,84 @@ def test_require_log_moment_names_the_order():
         ms.require_log_moment(edge, 2)
 
 
-def test_require_log_moment_keeps_its_verdict(monkeypatch):
-    lat = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=1.0, r=0.25, kmin=1),))
-    levy = ms.LevyMeasure((lat,))
-    ms.require_log_moment(levy, 2)
-    calls = []
-    monkeypatch.setattr(ms, "log_moment",
-                        lambda *args: calls.append(args) or 0.0)
-    # finite at order 2 implies every lower order: nothing is recomputed
-    ms.require_log_moment(levy, 2)
+# (measure, order, finite): the guard reads each verdict off the segments
+GUARD_CASES = {
+    "power3-p1": (_power_lattice(3), 1, True),
+    "power3-p2": (_power_lattice(3), 2, False),
+    "power5-p3": (_power_lattice(5), 3, True),
+    "power2-p1": (_power_lattice(2), 1, False),
+    "r<1": (_lattice(ms.Segment(w=1.0, r=0.25, kmin=1)), 3, True),
+    "r>1": (_lattice(ms.Segment(w=1.0, r=1.5, kmin=1)), 1, False),
+    "r>1-finite-kmax": (_lattice(ms.Segment(w=1.0, r=1.5, kmin=1, kmax=40)),
+                        2, True),
+    "power1-finite-kmax": (_lattice(ms.Segment(w=1.0, r=1.0, kmin=1, kmax=9,
+                                               power=1)), 3, True),
+    "r>1-inside-unit-ball": (_lattice(ms.Segment(w=1.0, r=1.5, kmax=-2),
+                                      anchor=0.5), 1, True),
+    "atoms": (ms.LevyMeasure((ms.Atoms([[1e300]], [1.0]),)), 3, True)}
+
+
+@pytest.mark.parametrize("case", GUARD_CASES)
+def test_require_log_moment_sums_nothing(monkeypatch, case):
+    levy, p, finite = GUARD_CASES[case]
+
+    def no_sum(*args):
+        raise AssertionError("the guard summed a log-moment")
+
+    monkeypatch.setattr(ms, "log_moment", no_sum)
+    monkeypatch.setattr(ms, "_lattice_log_moment", no_sum)
+    if finite:
+        ms.require_log_moment(levy, p)
+    else:
+        with pytest.raises(DomainError, match=rf"log\^{p}-moment"):
+            ms.require_log_moment(levy, p)
+
+
+def test_require_log_moment_accepts_beyond_the_summing_cap():
+    # valid, and r < 1 makes every log-moment finite, but the ratio is so
+    # close to 1 that summing the log-moment exceeds its cap
+    levy = _lattice(ms.Segment(w=1e-8, r=0.99999, kmin=1, power=2))
+    assert tp.validate(tp.LevyTriplet(np.zeros((1, 1)), levy, [0.0])) == ()
+    with pytest.raises(ToleranceError, match="summation cap"):
+        ms.log_moment(levy, 1)
     ms.require_log_moment(levy, 1)
-    assert calls == []
-    # a fresh measure with the same components is computed afresh
-    ms.require_log_moment(ms.LevyMeasure((lat,)), 1)
-    assert len(calls) == 1
+
+
+def _valid_lattice_measures():
+    def segment(r, power, kmin, kmax, w):
+        if power:
+            kmin = max(kmin, 1)
+        return ms.Segment(w=w, r=r, kmin=kmin, power=power,
+                          kmax=max(kmax, kmin) if kmax is not None else ms.POS_INF)
+
+    seg = st.builds(segment,
+                    r=st.floats(min_value=1e-3, max_value=0.94) | st.just(1.0),
+                    power=st.integers(0, 5),
+                    kmin=st.integers(-3, 6) | st.just(ms.NEG_INF),
+                    kmax=st.none() | st.integers(-3, 30),
+                    w=st.floats(min_value=0.1, max_value=2.0))
+    return st.builds(
+        lambda segs, anchor, base: ms.LevyMeasure(
+            (ms.ScaleLattice([1.0], base, tuple(segs), anchor=anchor),)),
+        st.lists(seg, min_size=1, max_size=3),
+        st.sampled_from([0.3, 1.0, 2.7]), st.sampled_from([2.0, 3.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(levy=_valid_lattice_measures(), p=st.integers(1, 3))
+def test_require_log_moment_agrees_with_the_sum(levy, p):
+    try:
+        valid = tp.validate(tp.LevyTriplet(np.zeros((1, 1)), levy, [0.0])) == ()
+    except ToleranceError:
+        valid = False
+    assume(valid)
+    finite = math.isfinite(ms.log_moment(levy, p))
+    try:
+        ms.require_log_moment(levy, p)
+        accepted = True
+    except DomainError:
+        accepted = False
+    assert accepted == finite
 
 
 def test_square_one_integral_atoms():

@@ -103,3 +103,46 @@ def test_grid_shapes(lat1):
     assert out.values.shape == (7,)
     assert out.grid.shape == (7, 1)
     assert np.all(out.err_bound >= 0.0)
+
+
+def _phase_case(power, lattice):
+    comp, ks = lattice
+    zbase = np.array([[0.7], [1.3], [-2.1], [0.0]])
+    pts = comp.radius(ks)[:, None] * comp.direction[None, :]
+    return pts @ (zbase * 2.0 ** power).T, zbase
+
+
+def test_reduced_phases_table_is_bit_identical():
+    # a base-2 lattice under the exact argument scale 2**-3: the cached
+    # table must reproduce the uncached reduction bit for bit, also after a
+    # later call with lower exponents grows the table downward
+    comp = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=1.0, r=0.5, kmin=1),))
+    top = (comp, np.arange(40, 90))
+    u, zbase = _phase_case(-3, top)
+    ref = tp._reduced_phases(u, zbase, top, arg_pow=(2.0, -3))
+    assert np.any(ref != u)
+    cache = {}
+    assert np.array_equal(tp._reduced_phases(u, zbase, top, (2.0, -3), cache),
+                          ref)
+    e0, table = cache[id(comp)]
+    assert np.array_equal(tp._reduced_phases(u, zbase, top, (2.0, -3), cache),
+                          ref)
+    assert cache[id(comp)][1] is table
+    full = (comp, np.arange(10, 90))
+    u5, _ = _phase_case(-5, full)
+    lower = tp._reduced_phases(u5, zbase, full, (2.0, -5), cache)
+    assert cache[id(comp)][0] < e0
+    assert np.array_equal(lower, tp._reduced_phases(u5, zbase, full, (2.0, -5)))
+    assert np.array_equal(tp._reduced_phases(u, zbase, top, (2.0, -3), cache),
+                          ref)
+
+
+def test_reduced_phases_fold_without_cache_keeps_the_scale():
+    # folding 2**-3 into the exponent equals reducing the exactly pre-scaled
+    # grid without an argument scale
+    comp = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=1.0, r=0.5, kmin=1),))
+    lattice = (comp, np.arange(10, 90))
+    u, zbase = _phase_case(-3, lattice)
+    folded = tp._reduced_phases(u, zbase, lattice, arg_pow=(2.0, -3))
+    plain = tp._reduced_phases(u, zbase * 2.0 ** -3, lattice)
+    assert np.array_equal(folded, plain)
