@@ -5,7 +5,7 @@ Run:  python3 demos/ou_limit_law.py
 
 import numpy as np
 
-from semiself import (OUConfig, gaussian, limit_cumulant, solve_path,
+from semiself import (OUConfig, ecf, gaussian, limit_cumulant, solve_path,
                       verify_langevin)
 
 cfg = OUConfig(b=2.0, c=1.0)
@@ -17,8 +17,7 @@ print("langevin residual:", verify_langevin(bundle))
 
 # terminal empirical CF against the analytic limit
 z = np.linspace(-3.0, 3.0, 13)
-term = bundle.states[:, -1, 0]
-emp = np.mean(np.exp(1j * np.outer(term, z)), axis=0)
+emp = ecf(bundle.states[:, -1, :], z)
 lim = np.exp(limit_cumulant(noise, cfg, z).values)
-print("max ECF gap vs limit:", float(np.max(np.abs(emp - lim))))
-print("MC radius:", 3.0 / np.sqrt(bundle.n_paths))
+print("max ECF gap vs limit:", float(np.max(np.abs(emp.values - lim))))
+print("MC radius:", emp.conf_radius)

@@ -18,9 +18,9 @@ from .sampling import EmpiricalCF, SampleBatch, Sampler, ecf, sample
 from .specio import SpecError, load_triplet, spec_hash, triplet_from_dict, \
     triplet_to_dict
 from .suites import run_suite
-from .triplets import (CumulantGrid, LevyTriplet, compound_poisson, convolve,
-                       cumulant, cumulant_at, gaussian, poisson_unit,
-                       require_valid, scale, validate)
+from .triplets import (CumulantGrid, LevyTriplet, compound_poisson, cumulant,
+                       cumulant_at, gaussian, poisson_unit, require_valid,
+                       scale, validate)
 
 __all__ = [
     "Atoms", "CumulantGrid", "DomainError", "EmpiricalCF",
@@ -29,7 +29,7 @@ __all__ = [
     "PathBundle", "SampleBatch", "Sampler", "ScaleLattice", "Segment",
     "SemiStableFit", "SemiStableSpec", "SemiselfError",
     "SpanMembershipCertificate", "SpecError", "ToleranceError",
-    "UnsupportedComponentError", "compound_poisson", "convolve", "cumulant",
+    "UnsupportedComponentError", "compound_poisson", "cumulant",
     "cumulant_at", "ecf", "factorization_check", "forward_cumulant",
     "forward_triplet", "gaussian", "inverse_factor", "is_nested_member",
     "is_semi_selfdecomposable", "is_semi_stable", "iterated_cumulant",

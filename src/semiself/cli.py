@@ -19,6 +19,7 @@ import numpy as np
 from . import mapping as mp
 from . import nested
 from . import ou
+from . import sampling as sp
 from . import specio
 from . import suites
 from . import triplets as tp
@@ -217,8 +218,7 @@ def cmd_simulate(args) -> int:
 
     # terminal ECF against the exact finite-epoch characteristic function
     zgrid = tp._as_grid(np.linspace(-3.0, 3.0, 21), noise.dim)
-    term = bundle.states[:, -1, :]
-    e = np.mean(np.exp(1j * (term @ zgrid.T)), axis=0)
+    emp = sp.ecf(bundle.states[:, -1, :], zgrid)
     if limit_mode:
         ref = np.exp(ou.limit_cumulant(noise, cfg, zgrid).values)
         label = "limit"
@@ -228,10 +228,9 @@ def cmd_simulate(args) -> int:
                                      bundle.epochs / cfg.c, zgrid, x=x0)
         ref = np.exp(fin.values)
         label = "transition"
-    radius = 3.0 / math.sqrt(args.paths)
     report["ecf"] = {"reference": label,
-                     "max_gap": float(np.max(np.abs(e - ref))),
-                     "conf_radius": radius}
+                     "max_gap": float(np.max(np.abs(emp.values - ref))),
+                     "conf_radius": emp.conf_radius}
 
     manifest = _manifest(args, {"spec": specio.spec_hash(noise)},
                          {"tol": args.tol}, t0)

@@ -23,6 +23,7 @@ from .errors import (InvalidTripletError, ToleranceError,
 
 MIN_SPAN_MARGIN = 1e-9
 DEFAULT_TOL = 1e-10
+CLASSIC_TOL = 1e-9   # quadrature and cumulant tolerance of the classical map
 MAX_SERIES_TERMS = 100_000
 
 
@@ -137,7 +138,7 @@ def forward_cumulant(rho: tp.LevyTriplet, b: float, z, *, m: int = 0,
 # exact triplet-level forward map
 
 
-def _tail_sum_segments(seg: ms.Segment, point_cap: int = 10_000) -> list:
+def _tail_sum_segments(seg: ms.Segment) -> list:
     """Segments of ``m'(i) = sum_{k >= i} m(k)`` for one input segment."""
     out = []
     if seg.power:
@@ -153,7 +154,7 @@ def _tail_sum_segments(seg: ms.Segment, point_cap: int = 10_000) -> list:
             raise UnsupportedComponentError(
                 "constant lattice mass down to index -inf has no "
                 "geometric-segment image")
-        if seg.kmax - seg.kmin + 1 > point_cap:
+        if seg.kmax - seg.kmin + 1 > 10_000:
             raise ToleranceError("flat lattice range too long to split")
         for k0 in range(int(seg.kmin), int(seg.kmax) + 1):
             out.append(ms.Segment(w=seg.w, r=1.0, kmin=ms.NEG_INF, kmax=k0))
@@ -342,13 +343,13 @@ class SpanMembershipCertificate:
         }
 
 
-def is_semi_selfdecomposable(mu: tp.LevyTriplet, b: float, grid=None,
+def is_semi_selfdecomposable(mu: tp.LevyTriplet, b: float,
                              tol: float = 1e-8) -> SpanMembershipCertificate:
     """Membership test: exact nonnegativity of the inverse factor's measure,
     with the cumulant-level factorization residual as a secondary diagnostic."""
     b = check_span(b)
     inv = inverse_factor(mu, b)
-    rep = factorization_check(mu, inv.rho, b, grid=grid, tol=tol / 10.0)
+    rep = factorization_check(mu, inv.rho, b, tol=tol / 10.0)
     verdict = inv.nonnegative and rep.max_residual < tol + rep.err_bound
     return SpanMembershipCertificate(
         b=b, verdict=verdict, factor=inv.rho, nonnegative=inv.nonnegative,
@@ -360,8 +361,7 @@ def is_semi_selfdecomposable(mu: tp.LevyTriplet, b: float, grid=None,
 # the classical (continuous) selfdecomposable map, used for cross-checks
 
 
-def classic_selfdecomposable_cumulant(mu0: tp.LevyTriplet, z,
-                                      tol: float = 1e-9) -> complex:
+def classic_selfdecomposable_cumulant(mu0: tp.LevyTriplet, z) -> complex:
     """``integral_0^inf C_mu0(e^{-t} z) dt`` by adaptive quadrature."""
     from scipy import integrate
 
@@ -369,14 +369,16 @@ def classic_selfdecomposable_cumulant(mu0: tp.LevyTriplet, z,
     zv = np.atleast_1d(np.asarray(z, dtype=float))
 
     def f_re(t):
-        return tp.cumulant_at(mu0, math.exp(-t) * zv, tol=tol).real
+        return tp.cumulant_at(mu0, math.exp(-t) * zv, tol=CLASSIC_TOL).real
 
     def f_im(t):
-        return tp.cumulant_at(mu0, math.exp(-t) * zv, tol=tol).imag
+        return tp.cumulant_at(mu0, math.exp(-t) * zv, tol=CLASSIC_TOL).imag
 
-    vr, er = integrate.quad(f_re, 0.0, np.inf, epsabs=tol, epsrel=tol, limit=300)
-    vi, ei = integrate.quad(f_im, 0.0, np.inf, epsabs=tol, epsrel=tol, limit=300)
-    if er + ei > 1e3 * tol:
+    vr, er = integrate.quad(f_re, 0.0, np.inf, epsabs=CLASSIC_TOL,
+                            epsrel=CLASSIC_TOL, limit=300)
+    vi, ei = integrate.quad(f_im, 0.0, np.inf, epsabs=CLASSIC_TOL,
+                            epsrel=CLASSIC_TOL, limit=300)
+    if er + ei > 1e3 * CLASSIC_TOL:
         raise ToleranceError("quadrature did not reach the requested tolerance")
     return complex(vr, vi)
 

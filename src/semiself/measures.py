@@ -31,6 +31,7 @@ _ENUM_CAP = 200_000
 _DIR_DECIMALS = 9
 DROP_TOL = 1e-12     # relative size below which a merged segment is dropped
 SIGN_WINDOW = 96     # indices checked around each finite segment boundary
+FAMILY_TOL = 1e-9    # relative slack of skeleton offsets and lattice bases
 
 
 def unit_direction(v) -> np.ndarray:
@@ -320,7 +321,7 @@ def component_violations(comp) -> list:
     return out
 
 
-def square_one_integral(levy: LevyMeasure, tol=1e-10) -> float:
+def square_one_integral(levy: LevyMeasure) -> float:
     """``integral (|x|^2 ^ 1) nu(dx)`` -- finite iff the measure is valid."""
 
     def f(pts, lattice=None):
@@ -329,7 +330,7 @@ def square_one_integral(levy: LevyMeasure, tol=1e-10) -> float:
         return np.minimum(n2, 1.0)
 
     v, _ = sum_over_measure(levy, f, small_c=1.0, small_p=2,
-                            large_bound=lambda R: 1.0, tol=tol,
+                            large_bound=lambda R: 1.0, tol=1e-10,
                             out_shape=(), dtype=float)
     return float(v)
 
@@ -440,7 +441,7 @@ def _family_key(direction, frac):
     return (tuple(np.round(direction, _DIR_DECIMALS)), round(frac, 7))
 
 
-def canonical_families(levy: LevyMeasure, b: float, tol=1e-9) -> dict:
+def canonical_families(levy: LevyMeasure, b: float) -> dict:
     """Sort atoms and lattices into skeleton families for span ``b``.
 
     Lattice components must already use base ``b``; atoms are converted to
@@ -451,15 +452,14 @@ def canonical_families(levy: LevyMeasure, b: float, tol=1e-9) -> dict:
 
     def add(direction, anchor, seg):
         la = math.log(anchor) / logb
-        shift = math.floor(la + tol)
+        shift = math.floor(la + FAMILY_TOL)
         frac = la - shift
-        if frac > 1.0 - tol:
+        if frac > 1.0 - FAMILY_TOL:
             shift += 1
             frac -= 1.0
         a0 = math.exp(frac * logb)
         key = _family_key(direction, frac)
         fam = fams.setdefault(key, Family(np.asarray(direction), b, a0, []))
-        fams[key] = fam
         fam.segments.append(Segment(
             w=seg.w * seg.r ** (-shift) if seg.r != 1.0 else seg.w,
             r=seg.r,
@@ -475,7 +475,7 @@ def canonical_families(levy: LevyMeasure, b: float, tol=1e-9) -> dict:
             for x, w, r in zip(comp.points, comp.weights, radii):
                 add(x / r, r, Segment(w=float(w), r=1.0, kmin=0, kmax=0))
         else:
-            if abs(comp.base - b) > tol * b:
+            if abs(comp.base - b) > FAMILY_TOL * b:
                 raise UnsupportedComponentError(
                     "lattice base must match the mapping span for exact algebra")
             for seg in comp.segments:

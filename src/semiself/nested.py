@@ -173,7 +173,7 @@ class SemiStableSpec:
             raise ValueError("w and r0 must be positive")
 
 
-def semi_stable_triplet(spec: SemiStableSpec, tol: float = 1e-12) -> tp.LevyTriplet:
+def semi_stable_triplet(spec: SemiStableSpec) -> tp.LevyTriplet:
     """Triplet whose measure satisfies ``nu(bB) = b^{-alpha} nu(B)`` exactly.
 
     For alpha != 1 the drift is set so the law is strictly semi-stable
@@ -194,7 +194,7 @@ def semi_stable_triplet(spec: SemiStableSpec, tol: float = 1e-12) -> tp.LevyTrip
         return driftless
     # the drift h of b X (its centering shift) makes
     # C(bz) - a C(z) = i<z, gamma (b - a) + h> vanish
-    h = tp.scale(driftless, b, tol=tol).drift
+    h = tp.scale(driftless, b).drift
     return tp.LevyTriplet(driftless.gauss, driftless.levy, h / (a - b))
 
 
@@ -218,15 +218,14 @@ class SemiStableFit:
         return math.log(self.a) / math.log(self.b)
 
 
-def is_semi_stable(mu: tp.LevyTriplet, b: float, grid=None,
+def is_semi_stable(mu: tp.LevyTriplet, b: float,
                    tol: float = 1e-8) -> SemiStableFit:
-    """Fit the scaling relation on a grid: ``a`` from the real parts at the
-    reference point with largest |Re C|, then ``c`` by least squares on the
-    imaginary parts, then the verdict from the max residual."""
+    """Fit the scaling relation on the default grid: ``a`` from the real
+    parts at the reference point with largest |Re C|, then ``c`` by least
+    squares on the imaginary parts, then the verdict from the max residual."""
     b = mp.check_span(b)
     tp.require_valid(mu)
-    zgrid = tp._as_grid(grid if grid is not None else
-                        mp.default_grid(mu.dim), mu.dim)
+    zgrid = mp.default_grid(mu.dim)
     c1 = tp.cumulant(mu, zgrid, tol=tol / 100.0)
     c2 = tp.cumulant(mu, zgrid, tol=tol / 100.0, arg_pow=(b, 1))
     re = np.abs(c1.values.real)

@@ -31,11 +31,10 @@ STATIONARY_CHECKS = 5       # epochs checked for stationarity of a limit start
 
 @dataclass(frozen=True)
 class OUConfig:
-    """Contraction span b > 1, epoch rate c > 0 and start time t0."""
+    """Contraction span b > 1 and epoch rate c > 0; time starts at 0."""
 
     b: float
     c: float
-    t0: float = 0.0
 
     def __post_init__(self):
         mp.check_span(self.b)
@@ -53,7 +52,6 @@ class PathBundle:
     """Simulated paths indexed by epoch; states are right-continuous."""
 
     config: OUConfig
-    epoch0: int
     states: np.ndarray       # (n_paths, epochs + 1, d), states[:, 0] = M
     increments: np.ndarray   # (n_paths, epochs, d)
     seed: int
@@ -71,16 +69,15 @@ class PathBundle:
         return self.states.shape[2]
 
     def times(self) -> np.ndarray:
-        return (self.epoch0 + np.arange(self.epochs + 1)) / self.config.c
+        return np.arange(self.epochs + 1) / self.config.c
 
     def head(self, n_paths: int, epochs: int) -> PathBundle:
         """The first ``n_paths`` paths over the first ``epochs`` epochs."""
-        return PathBundle(self.config, self.epoch0,
-                          self.states[:n_paths, :epochs + 1],
+        return PathBundle(self.config, self.states[:n_paths, :epochs + 1],
                           self.increments[:n_paths, :epochs], self.seed)
 
     def state_at(self, t: float) -> np.ndarray:
-        k = self.config.epoch(t) - self.epoch0
+        k = self.config.epoch(t)
         if not 0 <= k <= self.epochs:
             raise ValueError("time outside the simulated window")
         return self.states[:, k, :]
@@ -124,13 +121,13 @@ def solve_path(noise: tp.LevyTriplet, cfg: OUConfig, init, epochs: int,
     for k, (dX, Z) in enumerate(steps):
         increments[:, k, :] = dX
         states[:, k + 1, :] = Z
-    return PathBundle(config=cfg, epoch0=cfg.epoch(cfg.t0), states=states,
-                      increments=increments, seed=int(seed))
+    return PathBundle(config=cfg, states=states, increments=increments,
+                      seed=int(seed))
 
 
 def closed_form_states(bundle: PathBundle) -> np.ndarray:
     """States recomputed from the explicit solution
-    ``Z_k = b^{-k} M + b^{-k} sum_l b^{l-1} dX_l`` (k counted from epoch0)."""
+    ``Z_k = b^{-k} M + b^{-k} sum_l b^{l-1} dX_l``."""
     b = bundle.config.b
     K = bundle.epochs
     out = np.empty_like(bundle.states)
@@ -161,21 +158,20 @@ def verify_langevin(bundle: PathBundle) -> float:
 # limit law
 
 
-def limit_cumulant(noise: tp.LevyTriplet, cfg: OUConfig, z,
-                   tol: float = 1e-10) -> tp.CumulantGrid:
+def limit_cumulant(noise: tp.LevyTriplet, cfg: OUConfig, z) -> tp.CumulantGrid:
     """Cumulant ``(1/c) sum_{k>=0} C_{X_1}(b^{-k-1} z)`` of the limit law.
 
     Requires a finite log-moment on the noise measure; raises DomainError
     otherwise (the recursion then has no limit in law).
     """
     out = mp.forward_cumulant(noise, cfg.b, z, m=0, arg_pow=-1,
-                              tol=tol * cfg.c)
+                              tol=1e-10 * cfg.c)
     return tp.CumulantGrid(grid=out.grid, values=out.values / cfg.c,
                            err_bound=out.err_bound / cfg.c)
 
 
 def transition_cumulant(noise: tp.LevyTriplet, cfg: OUConfig, s: float,
-                        t: float, z, x=None, tol: float = 1e-12) -> tp.CumulantGrid:
+                        t: float, z, x=None) -> tp.CumulantGrid:
     """Cumulant of ``Z_t`` given ``Z_s = x``: the kernel is a deterministic
     contraction ``b^{-D} x`` plus D independent scaled kicks, D the number of
     epochs in (s, t]."""
@@ -189,7 +185,7 @@ def transition_cumulant(noise: tp.LevyTriplet, cfg: OUConfig, s: float,
     vals = 1j * cfg.b ** (-float(delta)) * (zgrid @ x)
     err = np.zeros(zgrid.shape[0])
     for k in range(delta):
-        g = tp.cumulant(noise, zgrid, tol=tol, arg_pow=(cfg.b, -(k + 1)))
+        g = tp.cumulant(noise, zgrid, tol=1e-12, arg_pow=(cfg.b, -(k + 1)))
         vals = vals + g.values / cfg.c
         err += g.err_bound / cfg.c
     return tp.CumulantGrid(grid=zgrid, values=vals, err_bound=err)
@@ -239,14 +235,12 @@ class LimitReport:
 
 
 def validate_limit(noise: tp.LevyTriplet, cfg: OUConfig, n: int = DEFAULT_N,
-                   epochs: int = 60, grid=None, seed: int = 0,
-                   q: float = 3.0) -> LimitReport:
+                   epochs: int = 60, seed: int = 0) -> LimitReport:
     """Check that the recursion forgets its start and lands on the limit law,
     and that a limit-law start is stationary across epochs."""
     d = noise.dim
-    zgrid = tp._as_grid(grid if grid is not None else
-                        np.linspace(-3.0, 3.0, 21), d)
-    radius = q / math.sqrt(n)
+    zgrid = tp._as_grid(np.linspace(-3.0, 3.0, 21), d)
+    radius = sp.conf_radius(n)
 
     lim = limit_cumulant(noise, cfg, zgrid)
     phi_lim = np.exp(lim.values)
@@ -271,7 +265,7 @@ def validate_limit(noise: tp.LevyTriplet, cfg: OUConfig, n: int = DEFAULT_N,
     fin2 = transition_cumulant(noise, cfg, 0.0, epochs / cfg.c, zgrid, x=m2)
 
     def ecf_vals(Z):
-        return np.mean(np.exp(1j * (Z @ zgrid.T)), axis=0)
+        return sp.ecf(Z, zgrid).values
 
     e1, e2 = ecf_vals(Z1), ecf_vals(Z2)
     gap1 = float(np.max(np.abs(e1 - np.exp(fin1.values))))
@@ -314,15 +308,14 @@ class ShiftReport:
 
 
 def _limit_start_run(noise: tp.LevyTriplet, cfg: OUConfig, times, shift: float,
-                     n: int, seed: int, zvals, q: float, epochs: int = 0):
+                     n: int, seed: int, epochs: int = 0):
     """Simulate from a limit-law start for at least ``epochs`` epochs and past
     every shifted time; return the bundle and its shift report."""
     times = tuple(float(t) for t in times)
     all_t = times + tuple(t + shift for t in times)
     if min(all_t) < 0.0:
         raise ValueError("times and shifted times must be nonnegative")
-    zv = np.atleast_1d(np.asarray(
-        zvals if zvals is not None else [0.7, 1.9, 3.1], dtype=float))
+    zv = np.array([0.7, 1.9, 3.1])
     d = noise.dim
     zmax = float(np.max(np.abs(zv))) * math.sqrt(d) * 2.0
 
@@ -330,17 +323,21 @@ def _limit_start_run(noise: tp.LevyTriplet, cfg: OUConfig, times, shift: float,
     epochs = max(epochs, cfg.epoch(max(all_t)))
     bundle = solve_path(noise, cfg, init, epochs, n_paths=n, seed=seed + 1)
 
+    def line(t):
+        # the state summed over coordinates, as (n, 1) draws
+        return (bundle.state_at(t) @ np.ones(d))[:, None]
+
     def joint(pair_t):
-        # E exp(i (z1 Z_{t1} + z2 Z_{t2})) over a small z1 x z2 grid
-        s1 = bundle.state_at(pair_t[0]) @ np.ones(d)
-        s2 = bundle.state_at(pair_t[1]) @ np.ones(d)
-        ph = zv[None, :, None] * s1[:, None, None] + zv[None, None, :] * s2[:, None, None]
+        # E exp(i (z1 Z_{t1} + z2 Z_{t2})) over a small z1 x z2 grid, summed
+        # by broadcasting: as an sp.ecf matmul the last bits would move
+        s1, s2 = line(pair_t[0]), line(pair_t[1])
+        ph = zv[None, :, None] * s1[:, :, None] + zv[None, None, :] * s2[:, :, None]
         return np.mean(np.exp(1j * ph), axis=0)
 
     marg_gap = 0.0
     for t in times:
-        a = np.mean(np.exp(1j * np.outer(bundle.state_at(t) @ np.ones(d), zv)), axis=0)
-        b_ = np.mean(np.exp(1j * np.outer(bundle.state_at(t + shift) @ np.ones(d), zv)), axis=0)
+        a = sp.ecf(line(t), zv).values
+        b_ = sp.ecf(line(t + shift), zv).values
         marg_gap = max(marg_gap, float(np.max(np.abs(a - b_))))
 
     joint_gap = 0.0
@@ -351,19 +348,18 @@ def _limit_start_run(noise: tp.LevyTriplet, cfg: OUConfig, times, shift: float,
             joint_gap = max(joint_gap, float(np.max(g)))
 
     return bundle, ShiftReport(times=times, shift=shift, marginal_gap=marg_gap,
-                               joint_gap=joint_gap, conf_radius=q / math.sqrt(n))
+                               joint_gap=joint_gap, conf_radius=sp.conf_radius(n))
 
 
 def shift_invariance_gap(noise: tp.LevyTriplet, cfg: OUConfig, times, shift: float,
-                         n: int = DEFAULT_N, seed: int = 0, zvals=None,
-                         q: float = 3.0) -> ShiftReport:
+                         n: int = DEFAULT_N, seed: int = 0) -> ShiftReport:
     """Simulate from a limit-law start and measure how far the marginal and
     pairwise joint ECFs move under a time shift."""
-    return _limit_start_run(noise, cfg, times, shift, n, seed, zvals, q)[1]
+    return _limit_start_run(noise, cfg, times, shift, n, seed)[1]
 
 
 def semistationary_path(noise: tp.LevyTriplet, cfg: OUConfig, horizon: float,
-                        n: int = DEFAULT_N, seed: int = 0, zvals=None):
+                        n: int = DEFAULT_N, seed: int = 0):
     """Realize the process from a limit-law start over [0, horizon] and check
     shift-invariance of marginal and joint ECFs by one period 1/c, on one
     simulation that runs past both the horizon and the shifted times."""
@@ -372,7 +368,7 @@ def semistationary_path(noise: tp.LevyTriplet, cfg: OUConfig, horizon: float,
     times = tuple(np.linspace(0.3 * period, upper, 3))
     epochs = cfg.epoch(horizon)
     bundle, report = _limit_start_run(noise, cfg, times, period, n, seed,
-                                      zvals, 3.0, epochs)
+                                      epochs)
     # the recursion's first epochs do not depend on how many follow
     return bundle.head(n, epochs), report
 
@@ -395,8 +391,7 @@ class DivergenceReport:
 
 
 def divergence_diagnostic(noise: tp.LevyTriplet, cfg: OUConfig, z0, times,
-                          n: int = DEFAULT_N, seed: int = 0,
-                          q: float = 3.0) -> DivergenceReport:
+                          n: int = DEFAULT_N, seed: int = 0) -> DivergenceReport:
     """The modulus stays below a constant < 1, so increments never die out:
     the process keeps moving instead of converging in probability."""
     z0 = np.atleast_1d(np.asarray(z0, dtype=float))
@@ -411,12 +406,13 @@ def divergence_diagnostic(noise: tp.LevyTriplet, cfg: OUConfig, z0, times,
                         seed=seed)
     ests = []
     for t in times:
-        k = cfg.epoch(t) - bundle.epoch0
+        k = cfg.epoch(t)
         if k < 1:
             raise ValueError("each time must lie at least one epoch in")
         diff = bundle.states[:, k, :] - bundle.states[:, k - 1, :]
+        # not sp.ecf, which would reassociate the product b * (diff @ z0)
         ests.append(abs(complex(np.mean(np.exp(1j * cfg.b * (diff @ z0))))))
-    radius = q / math.sqrt(n)
+    radius = sp.conf_radius(n)
     ok = all(e <= bound + radius for e in ests)
     return DivergenceReport(z0=z0, times=times, estimates=tuple(ests),
                             bound=bound, conf_radius=radius, ok=ok)

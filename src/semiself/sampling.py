@@ -45,7 +45,7 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class EmpiricalCF:
-    """Empirical characteristic function with a q-sigma confidence radius."""
+    """Empirical characteristic function with its ``conf_radius``."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -229,11 +229,16 @@ def sample(triplet: tp.LevyTriplet, n: int, seed: int, t: float = 1.0) -> Sample
     return Sampler(triplet).draw(n, seed, t)
 
 
-def ecf(batch: SampleBatch, grid, q: float = 3.0) -> EmpiricalCF:
-    """Empirical characteristic function on a grid; each value carries a
-    radius-``q/sqrt(n)`` confidence bound."""
-    zgrid = tp._as_grid(grid, batch.dim)
-    phases = batch.values @ zgrid.T
-    vals = np.mean(np.exp(1j * phases), axis=0)
+def conf_radius(n: int) -> float:
+    """The one Monte Carlo radius rule: 3 sigma of an ECF value over ``n``
+    draws (each has modulus at most 1, so sigma is at most 1/sqrt(n))."""
+    return 3.0 / math.sqrt(n)
+
+
+def ecf(values: np.ndarray, grid) -> EmpiricalCF:
+    """Empirical characteristic function of the ``(n, d)`` draws ``values``
+    on a grid, with the radius ``conf_radius(n)``."""
+    zgrid = tp._as_grid(grid, values.shape[1])
+    vals = np.mean(np.exp(1j * (values @ zgrid.T)), axis=0)
     return EmpiricalCF(grid=zgrid, values=vals,
-                       conf_radius=float(q / math.sqrt(batch.n)))
+                       conf_radius=conf_radius(values.shape[0]))

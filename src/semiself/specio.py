@@ -20,7 +20,7 @@ import json
 import os
 import platform
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,27 +165,25 @@ def write_json(path: str, obj) -> None:
 
 
 def write_csv(path: str, columns, rows, manifest_hash: str = "") -> None:
-    """Write a CSV; a row is a sequence of cells (floats as ``repr``) or one
-    preformatted line."""
+    """Write a CSV: the header ``columns``, then one preformatted line per
+    row."""
     lines = []
     if manifest_hash:
         lines.append(f"# manifest: {manifest_hash}")
     lines.append(",".join(columns))
-    lines.extend(row if isinstance(row, str) else
-                 ",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                          for v in row)
-                 for row in rows)
+    lines.extend(rows)
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def cumulant_csv_rows(grid: tp.CumulantGrid):
+    """Columns (z..., re, im, err_bound) of a cumulant grid and one
+    preformatted line per grid point, floats as ``repr``."""
     d = grid.grid.shape[1]
     cols = [f"z{i}" for i in range(d)] + ["re", "im", "err_bound"]
-    rows = [tuple(grid.grid[i]) + (float(grid.values[i].real),
-                                   float(grid.values[i].imag),
-                                   float(grid.err_bound[i]))
-            for i in range(grid.grid.shape[0])]
-    return cols, rows
+    cells = np.column_stack([grid.grid, grid.values.real, grid.values.imag,
+                             grid.err_bound])
+    fmt = ",".join(["%r"] * (d + 3))
+    return cols, [fmt % tuple(row) for row in cells.tolist()]
 
 
 def paths_csv_rows(bundle):
@@ -198,7 +196,7 @@ def paths_csv_rows(bundle):
     cells = np.zeros((n, k1, 2 * d))
     cells[:, :, :d] = bundle.states
     cells[:, 1:, d:] = bundle.increments
-    epochs = [f"{bundle.epoch0 + k},{t!r}"
+    epochs = [f"{k},{t!r}"
               for k, t in enumerate(bundle.times().tolist())]
     fmt = "%d,%s" + ",%r" * (2 * d)
     columns = [cells[:, :, j].ravel().tolist() for j in range(2 * d)]
@@ -218,14 +216,11 @@ class RunManifest:
     seed: int | None
     tolerances: dict
     wall_time: float
-    versions: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        v = dict(self.versions)
-        if not v:
-            from . import __version__
-            v = {"semiself": __version__, "numpy": np.__version__,
-                 "python": platform.python_version()}
+        from . import __version__
+        v = {"semiself": __version__, "numpy": np.__version__,
+             "python": platform.python_version()}
         return {"command": list(self.command), "spec_hashes": self.spec_hashes,
                 "seed": self.seed, "tolerances": self.tolerances,
                 "wall_time": self.wall_time, "versions": v}

@@ -78,14 +78,13 @@ def suite_core(seed: int = 42) -> dict:
                          abs(lm - 2 * math.log(2))))
 
     grid = np.linspace(-3.0, 3.0, 13)
-    radius = 3.0 / math.sqrt(MC_N)
     worst = 0.0
     for trip in corpus(1)[:2]:
         batch = sp.sample(trip, MC_N, seed, t=1.0)
-        e = sp.ecf(batch, grid)
+        e = sp.ecf(batch.values, grid)
         target = np.exp(tp.cumulant(trip, grid).values)
         worst = max(worst, float(np.max(np.abs(e.values - target))))
-    checks.append(_check("ecf_matches_cf", worst < radius, worst))
+    checks.append(_check("ecf_matches_cf", worst < sp.conf_radius(MC_N), worst))
 
     v = mp.forward_cumulant(g, 2.0, 1.0).values[0]
     checks.append(_check("forward_gaussian_oracle", abs(v + 2.0 / 3.0) < 1e-10,

@@ -160,11 +160,14 @@ def _reduced_phases(u: np.ndarray, zbase: np.ndarray, lattice,
     computed in high-precision decimal arithmetic.
 
     ``arg_pow = (pbase, power)`` expresses an exact argument scale
-    ``pbase**power``, so pre-scaled grids never round the phase away.  When
-    ``pbase`` is the lattice base, a phase depends on the grid column ``j``
-    and the combined exponent ``e = k + power`` only; ``cache`` then keeps
-    one table per component, ``(e0, table)`` with ``table[j, e - e0]`` and NaN
-    for a pair not yet reduced, shared by the terms of a scaled series.
+    ``pbase**power``, so pre-scaled grids never round the phase away.  The
+    reduced phases go to one table per component, ``(e0, table)`` with
+    ``table[j, e - e0]`` and NaN for a pair not yet reduced, each distinct
+    pair reduced once.  When ``pbase`` is the lattice base, a phase depends on
+    the grid column ``j`` and the combined exponent ``e = k + power`` only,
+    so ``cache`` shares the table across the terms of a scaled series; a call
+    without a cache, or whose scale does not fold into the exponent, fills a
+    table of its own.
     """
     import decimal
 
@@ -195,9 +198,7 @@ def _reduced_phases(u: np.ndarray, zbase: np.ndarray, lattice,
             return float((decimal.Decimal(float(beta[j])) * scale * pk) % two_pi)
 
         if cache is None or not fold:
-            out[rows, cols] = [phase(j, e)
-                               for j, e in zip(cols.tolist(), es.tolist())]
-            return out
+            cache = {}
         e0, table = cache.get(id(comp), (int(es[0]), np.empty((u.shape[1], 0))))
         lo = min(e0, int(es.min()))
         hi = max(e0 + table.shape[1], int(es.max()) + 1)
@@ -278,13 +279,7 @@ def cumulant_at(triplet: LevyTriplet, z, tol=1e-12, arg_pow=None) -> complex:
 # triplet arithmetic
 
 
-def convolve(a: LevyTriplet, b: LevyTriplet) -> LevyTriplet:
-    return LevyTriplet(a.gauss + b.gauss,
-                       ms.LevyMeasure(a.levy.components + b.levy.components),
-                       a.drift + b.drift)
-
-
-def scale(triplet: LevyTriplet, s: float, tol=1e-12) -> LevyTriplet:
+def scale(triplet: LevyTriplet, s: float) -> LevyTriplet:
     """Triplet of ``s X`` for ``s > 0``: Gaussian scales by ``s^2``, the
     measure is pushed to ``s x`` and the drift picks up the centering shift."""
     if s <= 0.0:
@@ -308,6 +303,6 @@ def scale(triplet: LevyTriplet, s: float, tol=1e-12) -> LevyTriplet:
             triplet.levy, shift_integrand,
             small_c=max(c_small, 1e-30), small_p=3,
             large_bound=lambda R: (s + 1.0 / s) / R,
-            tol=tol, out_shape=(triplet.dim,), dtype=float)
+            tol=1e-12, out_shape=(triplet.dim,), dtype=float)
     return LevyTriplet(s * s * triplet.gauss, ms.LevyMeasure(tuple(comps)),
                        s * triplet.drift + shift)

@@ -1,5 +1,6 @@
 """Acceptance gate: ten end-to-end criteria, one printed verdict line each."""
 
+import hashlib
 import json
 import math
 import sys
@@ -171,12 +172,21 @@ def test_criterion_09_domain_boundaries(tmp_path):
              f"exits {e_heavy}/{e_m0}/{e_m1}, want 3/0/3")
 
 
+# sha256 of the seed-42 verify summary without its manifest: it pins every
+# ECF gap and confidence radius the suites report
+VERIFY_ALL_42_SHA = \
+    "44c7f741e1dc9f560a36e6151ad73a3b8b03bed66b0b0abfdb888663dac2fdf9"
+
+
 def test_criterion_10_cli_determinism(tmp_path):
     out = str(tmp_path / "summary.json")
     e1 = cli.main(["verify", "--suite", "all", "--seed", "42", "--out", out])
     first = json.load(open(out))
     e2 = cli.main(["verify", "--suite", "all", "--seed", "42", "--out", out])
     identical = json.load(open(out)) == first
+    first.pop("manifest")
+    pinned = hashlib.sha256(json.dumps(first, sort_keys=True).encode()) \
+        .hexdigest() == VERIFY_ALL_42_SHA
     gauss = _spec(tmp_path, "g.json", GAUSS)
     bad = str(tmp_path / "bad.json")
     open(bad, "w").write("{not json")
@@ -188,6 +198,8 @@ def test_criterion_10_cli_determinism(tmp_path):
                   "--grid", "2:3", "--out", str(tmp_path / "y")]),  # tolerance
         cli.main(["check", gauss, "--b", "2"]),                     # member
     )
-    ok = (e1 == 0 and e2 == 0 and identical and codes == (2, 3, 4, 0))
+    ok = (e1 == 0 and e2 == 0 and identical and pinned
+          and codes == (2, 3, 4, 0))
     _verdict(10, "cli_determinism", ok,
-             f"identical={identical}, exit codes {codes}, want (2, 3, 4, 0)")
+             f"identical={identical}, pinned={pinned}, "
+             f"exit codes {codes}, want (2, 3, 4, 0)")

@@ -1,7 +1,9 @@
 """Static checks on the package source (no pyflakes or ruff is assumed)."""
 
 import ast
+import fnmatch
 import importlib
+import math
 import os
 import pathlib
 import subprocess
@@ -87,6 +89,114 @@ def test_module_level_imports_are_detected():
 def test_no_module_level_scipy_import(path):
     # scipy costs most of the start-up; only the commands that need it load it
     assert "scipy" not in module_level_imports(path.read_text())
+
+
+def optional_params(source: str, module: str) -> dict:
+    """``{"module.qualname(param)": (called name, param, position)}`` for
+    every parameter with a default and every dataclass field with a default.
+    A method's position skips ``self``; ``__init__`` and a dataclass are
+    called by the class name; a keyword-only parameter has no position."""
+    out = {}
+
+    def visit(node, qual, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                a = child.args
+                pos = a.posonlyargs + a.args
+                if cls and pos and pos[0].arg in ("self", "cls"):
+                    pos = pos[1:]
+                name, here = ((cls, qual) if child.name == "__init__"
+                              else (child.name, f"{qual}.{child.name}"))
+                first = len(pos) - len(a.defaults)
+                for i, arg in enumerate(pos[first:], first):
+                    out[f"{here}({arg.arg})"] = (name, arg.arg, i)
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        out[f"{here}({arg.arg})"] = (name, arg.arg, None)
+                visit(child, f"{qual}.{child.name}", None)
+            elif isinstance(child, ast.ClassDef):
+                here = f"{qual}.{child.name}"
+                if any("dataclass" in ast.unparse(d)
+                       for d in child.decorator_list):
+                    fields = [f for f in child.body
+                              if isinstance(f, ast.AnnAssign) and not (
+                                  isinstance(f.value, ast.Call) and any(
+                                      k.arg == "init" for k in f.value.keywords))]
+                    for i, f in enumerate(fields):
+                        if f.value is not None:
+                            out[f"{here}({f.target.id})"] = (child.name,
+                                                             f.target.id, i)
+                visit(child, here, child.name)
+            else:
+                visit(child, qual, cls)
+
+    visit(ast.parse(source), module, None)
+    return out
+
+
+def call_sites(sources) -> dict:
+    """``{called name: (most positional arguments, keyword names)}`` over all
+    calls; a starred argument fills every position, ``**kw`` adds None."""
+    sites = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                npos = (math.inf if any(isinstance(a, ast.Starred)
+                                        for a in node.args) else len(node.args))
+                most, kws = sites.get(name, (0, set()))
+                sites[name] = (max(most, npos),
+                               kws | {k.arg for k in node.keywords})
+    return sites
+
+
+def unset_options(modules, sources, allowed=()) -> list:
+    """Optional parameters of ``modules`` (name, source pairs) that no call
+    in ``sources`` sets by keyword or by position, less the ``allowed``
+    patterns."""
+    sites = call_sites(sources)
+    out = []
+    for module, source in modules:
+        for key, (name, param, index) in optional_params(source, module).items():
+            npos, kws = sites.get(name, (0, set()))
+            if (param in kws or None in kws
+                    or index is not None and npos > index
+                    or any(fnmatch.fnmatchcase(key, p) for p in allowed)):
+                continue
+            out.append(key)
+    return sorted(out)
+
+
+def test_unset_options_are_detected():
+    lib = ("def f(a, b=1, *, c=2, d=3):\n    pass\n"
+           "class K:\n    def m(self, x=0, y=0):\n        pass\n"
+           "@dataclass(frozen=True)\nclass C:\n    a: int\n    b: int = 0\n"
+           "    c: int = 1\n    v: bool = field(default=False, init=False)\n")
+    calls = "f(1, 2, c=3)\nk.m(5)\nC(1, 2)\n"
+    assert unset_options([("lib", lib)], [lib, calls]) == [
+        "lib.C(c)", "lib.K.m(y)", "lib.f(d)"]
+    assert unset_options([("lib", lib)], [lib, calls, "C(**kw)\nf(*a)\n"],
+                         allowed=("lib.K.*",)) == ["lib.f(d)"]
+
+
+# optional parameters set from outside any call the check can read
+SET_ELSEWHERE = (
+    "*(lattice)",                    # sum_over_measure calls f(points, lattice=)
+    "measures._lattice_log_moment.f(_*)",    # default-bound closure arguments
+    "suites.suite_*(seed)",          # called as SUITES[name](seed)
+    "triplets.poisson_unit(rate)",   # public API that tests use
+    "triplets.cumulant_at(arg_pow)",
+)
+
+
+def test_every_option_has_a_caller():
+    # an optional parameter that no command, suite, demo or benchmark sets
+    # is a constant in disguise
+    sources = [p.read_text() for d in ("src", "demos", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    modules = [(p.stem, p.read_text()) for p in MODULES]
+    assert unset_options(modules, sources, SET_ELSEWHERE) == []
 
 
 SCIPY_FREE = {

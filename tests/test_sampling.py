@@ -31,7 +31,7 @@ def test_compound_poisson_ecf_matches_cf(cp1):
     n = 40_000
     batch = sp.sample(cp1, n, seed=2)
     grid = np.linspace(-3.0, 3.0, 13)
-    emp = sp.ecf(batch, grid)
+    emp = sp.ecf(batch.values, grid)
     want = np.exp(tp.cumulant(cp1, grid).values)
     assert float(np.max(np.abs(emp.values - want))) <= emp.conf_radius
 
@@ -41,7 +41,7 @@ def test_convolution_time_scaling(cp1):
     n = 40_000
     batch = sp.sample(cp1, n, seed=3, t=2.0)
     grid = np.linspace(-2.0, 2.0, 9)
-    emp = sp.ecf(batch, grid)
+    emp = sp.ecf(batch.values, grid)
     want = np.exp(2.0 * tp.cumulant(cp1, grid).values)
     assert float(np.max(np.abs(emp.values - want))) <= emp.conf_radius
 
@@ -52,7 +52,7 @@ def test_infinite_activity_lattice_compensated():
     batch = sp.sample(mu, n, seed=4)
     assert batch.metadata["scheme"] == "gaussian_compensation"
     grid = np.linspace(-2.0, 2.0, 9)
-    emp = sp.ecf(batch, grid)
+    emp = sp.ecf(batch.values, grid)
     want = np.exp(tp.cumulant(mu, grid).values)
     # truncation bias plus MC radius
     assert float(np.max(np.abs(emp.values - want))) <= emp.conf_radius + 1e-2
@@ -60,7 +60,7 @@ def test_infinite_activity_lattice_compensated():
 
 def test_ecf_radius_scaling(cp1):
     batch = sp.sample(cp1, 10_000, seed=6)
-    emp = sp.ecf(batch, np.array([1.0]), q=3.0)
+    emp = sp.ecf(batch.values, np.array([1.0]))
     assert emp.conf_radius == pytest.approx(3.0 / math.sqrt(10_000))
 
 

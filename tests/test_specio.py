@@ -78,7 +78,7 @@ def test_atomic_json_and_csv(tmp_path):
     specio.write_json(path, {"a": 1})
     assert json.load(open(path)) == {"a": 1}
     csv_path = str(tmp_path / "out.csv")
-    specio.write_csv(csv_path, ["x", "y"], [(1, 2.5)], manifest_hash="abc")
+    specio.write_csv(csv_path, ["x", "y"], ["1,2.5"], manifest_hash="abc")
     lines = open(csv_path).read().splitlines()
     assert lines[0] == "# manifest: abc"
     assert lines[1] == "x,y"

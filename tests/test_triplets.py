@@ -73,13 +73,6 @@ def test_cumulant_arg_pow_matches_plain_scaling():
     assert scaled == pytest.approx(direct, abs=1e-14)
 
 
-def test_convolve_adds_cumulants(gauss1, cp1):
-    z = 1.3
-    both = tp.convolve(gauss1, cp1)
-    assert tp.cumulant_at(both, z) == pytest.approx(
-        tp.cumulant_at(gauss1, z) + tp.cumulant_at(cp1, z), abs=1e-12)
-
-
 def test_scale_pushes_argument(cp1):
     z, s = 1.1, 3.0
     sx = tp.scale(cp1, s)
@@ -146,3 +139,22 @@ def test_reduced_phases_fold_without_cache_keeps_the_scale():
     folded = tp._reduced_phases(u, zbase, lattice, arg_pow=(2.0, -3))
     plain = tp._reduced_phases(u, zbase * 2.0 ** -3, lattice)
     assert np.array_equal(folded, plain)
+
+
+def test_reduced_phases_off_base_scales_never_share_a_table():
+    # under a base-3 scale the phases of a base-2 lattice depend on the
+    # scale itself, so calls that share a cache each fill a table of their
+    # own: both match their uncached call bit for bit, and the cache stays
+    # empty
+    comp = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=1.0, r=0.5, kmin=1),))
+    lattice = (comp, np.arange(30, 90))
+    zbase = np.array([[0.7], [1.3], [-2.1], [0.0]])
+    cache = {}
+    for arg_pow in ((3.0, -1), (3.0, -2)):
+        u = (comp.radius(lattice[1])[:, None] * comp.direction[None, :]) @ \
+            (zbase * 3.0 ** arg_pow[1]).T
+        got = tp._reduced_phases(u, zbase, lattice, arg_pow, cache)
+        assert np.any(got != u)
+        assert np.array_equal(got, tp._reduced_phases(u, zbase, lattice,
+                                                       arg_pow))
+    assert cache == {}
