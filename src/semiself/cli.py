@@ -97,6 +97,11 @@ def _manifest(args, spec_hashes: dict, tolerances: dict,
         wall_time=time.time() - t0)
 
 
+def _violations_json(violations) -> list:
+    """Factor violations as JSON lists ``[direction, lattice_index]``."""
+    return [[list(direction), k] for direction, k in violations]
+
+
 def _emit(path_or_none: str | None, obj: dict) -> None:
     if path_or_none:
         specio.write_json(path_or_none, obj)
@@ -122,7 +127,7 @@ def cmd_map(args) -> int:
             out_trip = inv.rho
             grid = tp.cumulant(inv.rho, zgrid, tol=tol)
             extra = {"inverse": True, "nonnegative": bool(inv.nonnegative),
-                     "violations": mp.violations_json(inv.violations)}
+                     "violations": _violations_json(inv.violations)}
         else:
             try:
                 out_trip = nested.iterated_forward_triplet(mu, args.b, args.m)
@@ -172,11 +177,20 @@ def cmd_check(args) -> int:
     elif args.level > 0:
         nc = nested.is_nested_member(mu, args.b, args.level)
         verdict = nc.verdict
-        cert = dict(nc.to_dict(), kind="nested")
+        cert = {"kind": "nested", "b": nc.b, "m": nc.m,
+                "verdicts": list(nc.verdicts),
+                "first_violation": list(nc.first_violation)
+                if nc.first_violation else None,
+                "factors": [specio.triplet_to_dict(f) for f in nc.factors]}
     else:
         sc = mp.is_semi_selfdecomposable(mu, args.b, tol=max(args.tol, 1e-12))
-        verdict = sc.verdict
-        cert = dict(sc.to_dict(), kind="span")
+        verdict = bool(sc.verdict)
+        cert = {"kind": "span", "b": sc.b, "verdict": verdict,
+                "nonnegative": bool(sc.nonnegative),
+                "violations": _violations_json(sc.violations),
+                "max_residual": sc.max_residual,
+                "residual_tol": sc.residual_tol,
+                "factor": specio.triplet_to_dict(sc.factor)}
 
     manifest = _manifest(args, {"spec": specio.spec_hash(mu)},
                          {"tol": args.tol}, t0)
@@ -217,7 +231,7 @@ def cmd_simulate(args) -> int:
     report["langevin_residual"] = ou.verify_langevin(bundle)
 
     # terminal ECF against the exact finite-epoch characteristic function
-    zgrid = tp._as_grid(np.linspace(-3.0, 3.0, 21), noise.dim)
+    zgrid = ou.ecf_grid(noise.dim)
     emp = sp.ecf(bundle.states[:, -1, :], zgrid)
     if limit_mode:
         ref = np.exp(ou.limit_cumulant(noise, cfg, zgrid).values)
@@ -232,8 +246,7 @@ def cmd_simulate(args) -> int:
                      "max_gap": float(np.max(np.abs(emp.values - ref))),
                      "conf_radius": emp.conf_radius}
 
-    manifest = _manifest(args, {"spec": specio.spec_hash(noise)},
-                         {"tol": args.tol}, t0)
+    manifest = _manifest(args, {"spec": specio.spec_hash(noise)}, {}, t0)
     mhash = manifest.hash()
     report["manifest"] = mhash
     os.makedirs(args.out, exist_ok=True)
@@ -316,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="limit-law start plus period shift check")
     p_sim.add_argument("--max-export", type=int, default=1000,
                        help="cap on paths written to CSV")
-    p_sim.add_argument("--tol", type=float, default=1e-10)
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -282,11 +282,6 @@ def inverse_factor(mu: tp.LevyTriplet, b: float,
                          violations=tuple(violations))
 
 
-def violations_json(violations) -> list:
-    """Factor violations as JSON lists ``[direction, lattice_index]``."""
-    return [[list(direction), k] for direction, k in violations]
-
-
 # ---------------------------------------------------------------------------
 # diagnostics and certificates
 
@@ -329,18 +324,6 @@ class SpanMembershipCertificate:
     violations: tuple
     max_residual: float
     residual_tol: float
-
-    def to_dict(self) -> dict:
-        from . import specio
-        return {
-            "b": self.b,
-            "verdict": bool(self.verdict),
-            "nonnegative": bool(self.nonnegative),
-            "violations": violations_json(self.violations),
-            "max_residual": self.max_residual,
-            "residual_tol": self.residual_tol,
-            "factor": specio.triplet_to_dict(self.factor),
-        }
 
 
 def is_semi_selfdecomposable(mu: tp.LevyTriplet, b: float,

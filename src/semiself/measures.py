@@ -372,14 +372,13 @@ def _lattice_log_moment(lat: ScaleLattice, p: int) -> float:
             if seg.kmax == POS_INF and prev is not None and term < 1e-17 * max(acc, 1e-300):
                 break
             if seg.kmax == POS_INF and seg.r == 1.0 and k - kstart >= 10_000:
-                # slowly decaying power tail: finish with the integral bound
-                from scipy import integrate
-
-                def f(x, _s=seg, _la=loga, _lb=logb, _p=p):
-                    return _s.w * x ** (-_s.power) * (_la + x * _lb) ** _p
-
-                tail, _ = integrate.quad(f, k + 0.5, math.inf, limit=200)
-                acc += tail
+                # slowly decaying power tail: finish with the integral of
+                # w x^-P (loga + x logb)^p from k + 1/2, in closed form
+                # (finite since P - p > 1, see _outer_segments)
+                x, P = k + 0.5, seg.power
+                acc += seg.w * sum(
+                    math.comb(p, i) * loga ** (p - i) * logb ** i
+                    * x ** (i - P + 1) / (P - i - 1) for i in range(p + 1))
                 break
             if k - kstart > _ENUM_CAP:
                 raise ToleranceError("log-moment summation cap exceeded")

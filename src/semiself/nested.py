@@ -83,12 +83,12 @@ def binom_identity_check(n: int, k: int) -> bool:
 # iterated forward map
 
 
-def iterated_cumulant(mu: tp.LevyTriplet, b: float, m: int, z,
-                      tol: float = 1e-10) -> tp.CumulantGrid:
+def iterated_cumulant(mu: tp.LevyTriplet, b: float, m: int,
+                      z) -> tp.CumulantGrid:
     """Cumulant of the (m+1)-fold mapped law; requires a finite (m+1)-th
     log-moment (the exact domain of the iterate)."""
     m = _check_level(m)
-    return mp.forward_cumulant(mu, b, z, m=m, tol=tol)
+    return mp.forward_cumulant(mu, b, z, m=m)
 
 
 def iterated_forward_triplet(mu: tp.LevyTriplet, b: float, m: int) -> tp.LevyTriplet:
@@ -116,16 +116,6 @@ class NestedCertificate:
     @property
     def verdict(self) -> bool:
         return self.verdicts[-1]
-
-    def to_dict(self) -> dict:
-        from . import specio
-        return {
-            "b": self.b, "m": self.m,
-            "verdicts": [bool(v) for v in self.verdicts],
-            "first_violation": list(self.first_violation)
-            if self.first_violation else None,
-            "factors": [specio.triplet_to_dict(f) for f in self.factors],
-        }
 
 
 def is_nested_member(mu: tp.LevyTriplet, b: float, m: int) -> NestedCertificate:

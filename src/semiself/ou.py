@@ -27,6 +27,7 @@ from .errors import ToleranceError
 DEFAULT_N = 100_000
 LIMIT_TAIL_TOL = 1e-4       # cumulant bound of the dropped limit-series tail
 STATIONARY_CHECKS = 5       # epochs checked for stationarity of a limit start
+LIMIT_EPOCHS = 60           # epochs run by the limit-law validation
 
 
 @dataclass(frozen=True)
@@ -234,25 +235,33 @@ class LimitReport:
     ok: bool
 
 
+def ecf_grid(dim: int) -> np.ndarray:
+    """Grid on which simulated ECFs are checked against the exact
+    characteristic function: 21 points per axis with |z| <= 3."""
+    return mp.default_grid(dim, zmax=3.0, n=21)
+
+
 def validate_limit(noise: tp.LevyTriplet, cfg: OUConfig, n: int = DEFAULT_N,
-                   epochs: int = 60, seed: int = 0) -> LimitReport:
+                   seed: int = 0) -> LimitReport:
     """Check that the recursion forgets its start and lands on the limit law,
     and that a limit-law start is stationary across epochs."""
     d = noise.dim
-    zgrid = tp._as_grid(np.linspace(-3.0, 3.0, 21), d)
+    zgrid = ecf_grid(d)
     radius = sp.conf_radius(n)
 
     lim = limit_cumulant(noise, cfg, zgrid)
     phi_lim = np.exp(lim.values)
 
     sampler = sp.Sampler(noise)
-    checks = {max(1, epochs - 1 - 2 * i) for i in range(STATIONARY_CHECKS)}
+    checks = {max(1, LIMIT_EPOCHS - 1 - 2 * i)
+              for i in range(STATIONARY_CHECKS)}
 
     def terminal(init, sd):
         # keeps the snapshot epochs only, never the whole state array
         Z = _resolve_init(init, n, d)
         snaps = {}
-        for k, (_, Z) in enumerate(_recursion(sampler, cfg, Z, epochs, sd), 1):
+        steps = _recursion(sampler, cfg, Z, LIMIT_EPOCHS, sd)
+        for k, (_, Z) in enumerate(steps, 1):
             if k in checks:
                 snaps[k] = Z
         return Z, snaps
@@ -261,8 +270,9 @@ def validate_limit(noise: tp.LevyTriplet, cfg: OUConfig, n: int = DEFAULT_N,
     Z1, _ = terminal(np.zeros(d), seed)
     Z2, _ = terminal(m2, seed + 1)
 
-    fin1 = transition_cumulant(noise, cfg, 0.0, epochs / cfg.c, zgrid, x=np.zeros(d))
-    fin2 = transition_cumulant(noise, cfg, 0.0, epochs / cfg.c, zgrid, x=m2)
+    horizon = LIMIT_EPOCHS / cfg.c
+    fin1 = transition_cumulant(noise, cfg, 0.0, horizon, zgrid, x=np.zeros(d))
+    fin2 = transition_cumulant(noise, cfg, 0.0, horizon, zgrid, x=m2)
 
     def ecf_vals(Z):
         return sp.ecf(Z, zgrid).values

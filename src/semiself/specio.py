@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures as ms
+from . import nested
 from . import triplets as tp
 from .errors import SemiselfError
 
@@ -82,7 +83,6 @@ def _component_from_dict(obj: dict):
                                segments=segs,
                                anchor=float(obj.get("anchor", 1.0))), None
     if kind == "semistable":
-        from . import nested
         spec = nested.SemiStableSpec(
             b=float(obj["b"]), alpha=float(obj["alpha"]),
             direction=tuple(obj.get("direction", (1.0,))),

@@ -147,7 +147,7 @@ def suite_ou(seed: int = 42) -> dict:
     for noise, tag in ((g, "gaussian"), (pu, "poisson")):
         for c in (1.0, 2.0):
             rep = ou.validate_limit(noise, ou.OUConfig(2.0, c), n=MC_N,
-                                    epochs=60, seed=seed)
+                                    seed=seed)
             checks.append(_check(f"limit_validation_{tag}_c{int(c)}", rep.ok,
                                  rep.ecf_gap_first))
 
@@ -204,7 +204,7 @@ def suite_iterate(seed: int = 42) -> dict:
     z = np.linspace(-5.0, 5.0, 21)
     once = mp.forward_triplet(pu, 2.0)
     twice = mp.forward_cumulant(once, 2.0, z, tol=1e-10)
-    direct = nt.iterated_cumulant(pu, 2.0, 1, z, tol=1e-10)
+    direct = nt.iterated_cumulant(pu, 2.0, 1, z)
     gap = float(np.max(np.abs(twice.values - direct.values)))
     checks.append(_check("iteration_composition", gap < 5e-8, gap))
 

@@ -21,6 +21,8 @@ def write_spec(tmp_path, name, obj):
 
 
 GAUSS = {"schema": 1, "gauss": [[1.0]], "drift": [0.0], "levy": []}
+GAUSS2 = {"schema": 1, "gauss": [[1.0, 0.0], [0.0, 1.0]], "drift": [0.0, 0.0],
+          "levy": []}
 CP1 = {"schema": 1, "levy": [{"kind": "atoms", "points": [[1.0]],
                               "weights": [1.0]}]}
 HEAVY = {"schema": 1, "levy": [{"kind": "lattice", "direction": [1.0],
@@ -164,6 +166,26 @@ def test_simulate_writes_report(tmp_path):
     assert lines[1] == "path,epoch,time,z0,dx0"
     # header + 400 paths * 16 states
     assert len(lines) == 2 + 400 * 16
+
+
+@pytest.mark.parametrize("mode", [["--init", "zero"], ["--init", "limit"],
+                                  ["--semistationary"]], ids=lambda m: m[-1])
+def test_simulate_two_dimensional(tmp_path, monkeypatch, mode):
+    spec = write_spec(tmp_path, "g2.json", GAUSS2)
+    grids = []
+    ecf = cli.sp.ecf
+
+    def spy(x, z):
+        grids.append(np.shape(z))
+        return ecf(x, z)
+
+    monkeypatch.setattr(cli.sp, "ecf", spy)
+    out = str(tmp_path / "sim")
+    assert cli.main(["simulate", spec, "--b", "2", "--steps", "5",
+                     "--paths", "50", *mode, "--out", out]) == 0
+    assert grids[-1] == (42, 2)     # the terminal ECF, on both axes
+    rep = json.load(open(os.path.join(out, "report.json")))
+    assert rep["ecf"]["max_gap"] < 3.0 * rep["ecf"]["conf_radius"]
 
 
 def test_simulate_limit_requires_log_moment(tmp_path):
@@ -428,3 +450,4 @@ def test_manifest_records_main_argv(tmp_path):
     assert cli.main(argv) == 0
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["command"] == argv
+    assert manifest["tolerances"] == {}     # simulate takes no tolerance

@@ -3,7 +3,6 @@
 import ast
 import fnmatch
 import importlib
-import math
 import os
 import pathlib
 import subprocess
@@ -91,11 +90,62 @@ def test_no_module_level_scipy_import(path):
     assert "scipy" not in module_level_imports(path.read_text())
 
 
+def relative_imports(source: str, modules) -> set:
+    """Names in ``modules`` that a source imports relatively, at module
+    level or inside a function body."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module.split(".")[0]] if node.module
+                       else [a.name for a in node.names])
+    return out & set(modules)
+
+
+def find_cycle(graph: dict) -> list:
+    """A cycle of ``graph`` (node -> successors) as the closed path
+    ``[a, ..., a]``, or [] when the graph is acyclic."""
+    done = set()
+
+    def visit(node, path):
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node not in done:
+            for nxt in sorted(graph.get(node, ())):
+                cycle = visit(nxt, path + [node])
+                if cycle:
+                    return cycle
+            done.add(node)
+        return []
+
+    for start in sorted(graph):
+        cycle = visit(start, [])
+        if cycle:
+            return cycle
+    return []
+
+
+def test_import_cycles_are_detected():
+    src = ("from . import a, __version__\nfrom .b import x\n"
+           "def f():\n    from .c import y\n    from ..d import z\n")
+    assert relative_imports(src, "abcd") == {"a", "b", "c"}
+    graph = {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}
+    assert find_cycle(graph) == ["a", "b", "c", "a"]
+    assert find_cycle(dict(graph, c=set())) == []
+
+
+def test_no_import_cycles():
+    # each module can be imported on its own, in any order
+    names = [p.stem for p in MODULES]
+    graph = {p.stem: relative_imports(p.read_text(), names) for p in MODULES}
+    assert " -> ".join(find_cycle(graph)) == ""
+
+
 def optional_params(source: str, module: str) -> dict:
-    """``{"module.qualname(param)": (called name, param, position)}`` for
-    every parameter with a default and every dataclass field with a default.
-    A method's position skips ``self``; ``__init__`` and a dataclass are
-    called by the class name; a keyword-only parameter has no position."""
+    """``{"module.qualname(param)": (called name, param, position, default)}``
+    for every parameter with a default and every dataclass field with a
+    default, the default as an AST node.  A method's position skips
+    ``self``; ``__init__`` and a dataclass are called by the class name; a
+    keyword-only parameter has no position."""
     out = {}
 
     def visit(node, qual, cls):
@@ -108,11 +158,13 @@ def optional_params(source: str, module: str) -> dict:
                 name, here = ((cls, qual) if child.name == "__init__"
                               else (child.name, f"{qual}.{child.name}"))
                 first = len(pos) - len(a.defaults)
-                for i, arg in enumerate(pos[first:], first):
-                    out[f"{here}({arg.arg})"] = (name, arg.arg, i)
+                for i, (arg, default) in enumerate(
+                        zip(pos[first:], a.defaults), first):
+                    out[f"{here}({arg.arg})"] = (name, arg.arg, i, default)
                 for arg, default in zip(a.kwonlyargs, a.kw_defaults):
                     if default is not None:
-                        out[f"{here}({arg.arg})"] = (name, arg.arg, None)
+                        out[f"{here}({arg.arg})"] = (name, arg.arg, None,
+                                                     default)
                 visit(child, f"{qual}.{child.name}", None)
             elif isinstance(child, ast.ClassDef):
                 here = f"{qual}.{child.name}"
@@ -124,8 +176,8 @@ def optional_params(source: str, module: str) -> dict:
                                       k.arg == "init" for k in f.value.keywords))]
                     for i, f in enumerate(fields):
                         if f.value is not None:
-                            out[f"{here}({f.target.id})"] = (child.name,
-                                                             f.target.id, i)
+                            out[f"{here}({f.target.id})"] = (
+                                child.name, f.target.id, i, f.value)
                 visit(child, here, child.name)
             else:
                 visit(child, qual, cls)
@@ -135,33 +187,49 @@ def optional_params(source: str, module: str) -> dict:
 
 
 def call_sites(sources) -> dict:
-    """``{called name: (most positional arguments, keyword names)}`` over all
-    calls; a starred argument fills every position, ``**kw`` adds None."""
+    """``{called name: [call node, ...]}`` over all calls."""
     sites = {}
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Call):
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                npos = (math.inf if any(isinstance(a, ast.Starred)
-                                        for a in node.args) else len(node.args))
-                most, kws = sites.get(name, (0, set()))
-                sites[name] = (max(most, npos),
-                               kws | {k.arg for k in node.keywords})
+                sites.setdefault(name, []).append(node)
     return sites
+
+
+def is_literal(node, default) -> bool:
+    """Whether an argument is the literal value of its parameter's default."""
+    try:
+        return ast.literal_eval(node) == ast.literal_eval(default)
+    except (ValueError, TypeError):
+        return False
+
+
+def sets_option(call, param, index, default) -> bool:
+    """Whether a call sets an option to anything but its default literal; a
+    starred argument fills every position and ``**kw`` every keyword."""
+    for k in call.keywords:
+        if k.arg is None or k.arg == param and not is_literal(k.value, default):
+            return True
+    if index is None:
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return len(call.args) > index and not is_literal(call.args[index], default)
 
 
 def unset_options(modules, sources, allowed=()) -> list:
     """Optional parameters of ``modules`` (name, source pairs) that no call
-    in ``sources`` sets by keyword or by position, less the ``allowed``
-    patterns."""
+    in ``sources`` sets by keyword or by position to a value other than the
+    default's own literal, less the ``allowed`` patterns."""
     sites = call_sites(sources)
     out = []
     for module, source in modules:
-        for key, (name, param, index) in optional_params(source, module).items():
-            npos, kws = sites.get(name, (0, set()))
-            if (param in kws or None in kws
-                    or index is not None and npos > index
+        for key, (name, param, index, default) in optional_params(
+                source, module).items():
+            if (any(sets_option(c, param, index, default)
+                    for c in sites.get(name, ()))
                     or any(fnmatch.fnmatchcase(key, p) for p in allowed)):
                 continue
             out.append(key)
@@ -178,15 +246,21 @@ def test_unset_options_are_detected():
         "lib.C(c)", "lib.K.m(y)", "lib.f(d)"]
     assert unset_options([("lib", lib)], [lib, calls, "C(**kw)\nf(*a)\n"],
                          allowed=("lib.K.*",)) == ["lib.f(d)"]
+    # passing the default's own literal leaves the option at its one value
+    defaults = "f(1, 1, c=2, d=4)\nk.m(0, y=1)\nC(1, 0, 2)\n"
+    assert unset_options([("lib", lib)], [lib, defaults]) == [
+        "lib.C(b)", "lib.K.m(x)", "lib.f(b)", "lib.f(c)"]
 
 
 # optional parameters set from outside any call the check can read
 SET_ELSEWHERE = (
     "*(lattice)",                    # sum_over_measure calls f(points, lattice=)
-    "measures._lattice_log_moment.f(_*)",    # default-bound closure arguments
     "suites.suite_*(seed)",          # called as SUITES[name](seed)
     "triplets.poisson_unit(rate)",   # public API that tests use
     "triplets.cumulant_at(arg_pow)",
+    # public API whose tests vary them; the package passes the default
+    "sampling.sample(t)",
+    "measures.log_moment(p)",
 )
 
 

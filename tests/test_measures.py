@@ -69,6 +69,17 @@ def _power_lattice(power):
     return _lattice(ms.Segment(w=1.0, r=1.0, kmin=1, power=power))
 
 
+@pytest.mark.parametrize("P,p", [(P, p) for P in range(3, 7)
+                                 for p in range(1, P - 1)])
+def test_power_tail_log_moment_oracle(P, p):
+    # sum_k k^p log(2)^p k^-P = log(2)^p zeta(P - p); the slowly decaying
+    # tails are finished by an integral past k = 10,000
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = float(mpmath.log(2) ** p * mpmath.zeta(P - p))
+    assert ms.log_moment(_power_lattice(P), p) == pytest.approx(ref, rel=1e-12)
+
+
 def test_require_log_moment_names_the_order():
     with pytest.raises(DomainError, match=r"log\^1-moment"):
         ms.require_log_moment(_power_lattice(2))

@@ -112,3 +112,9 @@ def test_semistationary_path_simulates_once(monkeypatch):
     # the report is the one a separate shift-invariance run gives
     assert report == ou.shift_invariance_gap(noise, CFG, report.times, 1.0,
                                              n=300, seed=4)
+
+
+def test_validate_limit_in_two_dimensions():
+    rep = ou.validate_limit(tp.gaussian(np.eye(2)), CFG, n=20_000, seed=0)
+    assert rep.grid.shape == (42, 2)
+    assert rep.ok
