@@ -192,8 +192,9 @@ def cmd_check(args) -> int:
                 "residual_tol": sc.residual_tol,
                 "factor": specio.triplet_to_dict(sc.factor)}
 
-    manifest = _manifest(args, {"spec": specio.spec_hash(mu)},
-                         {"tol": args.tol}, t0)
+    # the nested ladder is exact lattice algebra: it reads no tolerance
+    tolerances = {} if cert["kind"] == "nested" else {"tol": args.tol}
+    manifest = _manifest(args, {"spec": specio.spec_hash(mu)}, tolerances, t0)
     cert["manifest"] = manifest.hash()
     _emit(args.out, cert)
     if args.out:

@@ -68,6 +68,53 @@ def _series_envelopes(b, m, arg_scale, zmax):
     return small_c, large_bound
 
 
+def _series_weights(b, m, arg_scale, zmax, xmax, tol) -> list:
+    """Weights ``C(j+m, m)`` of the terms ``j < J`` that the series sums for
+    points of 1-norm at most ``xmax``: it stops once the geometric bound on
+    the terms left falls below ``tol / 4``."""
+    weights = []
+    for j, wj in enumerate(_binom_weight_iter(m)):
+        weights.append(wj)
+        u_next = arg_scale * b ** (-(j + 1)) * zmax * xmax
+        rho1 = (j + 2 + m) / ((j + 2) * b)
+        rho2 = (j + 2 + m) / ((j + 2) * b * b)
+        if u_next <= 1.0 and rho1 < 1.0:
+            w_next = wj * (j + 1 + m) / (j + 1)
+            tail = w_next * (0.5 * u_next * u_next / (1.0 - rho2)
+                             + u_next / (1.0 - rho1))
+            if tail < tol / 4.0:
+                return weights
+        if j + 1 > MAX_SERIES_TERMS:
+            raise ToleranceError("forward series term cap exceeded")
+
+
+def _regrouped_series(zgrid, comp: ms.ScaleLattice, ks, masses, weights,
+                      arg_pow: int) -> np.ndarray:
+    """``sum_k m(k) sum_{t<J} w_t g(b^(arg_pow - t) z, x_k)`` over points of
+    a lattice on base ``b``, summed by the phase index ``n = k - t``:
+
+        sum_n (e^{i theta_n} - 1) M_n  -  i W sum_k m(k) <z, x_k>/(1 + |x_k|^2)
+
+    with ``M_n = sum_t w_t m(n + t)``, ``W = sum_t w_t b^(arg_pow - t)`` and
+    ``theta_n = anchor <z, direction> b^(n + arg_pow)``.  That is ``K + J``
+    phases per grid column instead of ``K J`` cells; the huge ones are
+    reduced exactly."""
+    b = comp.base
+    k0 = int(ks.min())
+    mk = np.bincount(ks - k0, weights=masses)
+    big_m = np.convolve(mk, np.asarray(weights)[::-1])
+    ns = np.arange(k0 - len(weights) + 1, k0 + mk.size)
+    zdir = zgrid @ comp.direction
+    radii = comp.radius(ks)
+    with np.errstate(over="ignore"):
+        theta = (comp.anchor * b ** (ns + arg_pow).astype(float))[:, None] \
+            * zdir[None, :]
+        centering = float(np.sum(masses * radii / (1.0 + radii * radii)))
+    theta = tp._reduced_phases(theta, zgrid, (comp, ns), arg_pow=(b, arg_pow))
+    big_w = sum(wt * b ** (arg_pow - t) for t, wt in enumerate(weights))
+    return big_m @ (np.exp(1j * theta) - 1.0) - 1j * big_w * centering * zdir
+
+
 def forward_cumulant(rho: tp.LevyTriplet, b: float, z, *, m: int = 0,
                      arg_pow: int = 0,
                      tol: float = DEFAULT_TOL) -> tp.CumulantGrid:
@@ -77,7 +124,9 @@ def forward_cumulant(rho: tp.LevyTriplet, b: float, z, *, m: int = 0,
 
     Gaussian and drift parts are summed in closed form; the jump part is a
     per-point series with analytic geometric tail bounds.  The argument scale
-    is tracked as an exact power of b so lattice phases stay accurate.
+    is tracked as an exact power of b so lattice phases stay accurate.  On a
+    lattice whose base is ``b``, the points at radius >= 1 sum the same
+    terms by phase index (``_regrouped_series``).
     """
     b = check_span(b)
     tp.require_valid(rho)
@@ -96,37 +145,53 @@ def forward_cumulant(rho: tp.LevyTriplet, b: float, z, *, m: int = 0,
     if rho.levy.components:
         phase_cache: dict = {}
 
-        def point_series(points, lattice=None):
+        def series_weights(points):
             # 1-norm bound avoids squaring overflow at extreme lattice radii
             xmax = float(np.max(np.sum(np.abs(points), axis=1))) \
                 if points.size else 0.0
+            return _series_weights(b, m, s, zmax, xmax, tol)
+
+        def point_series(points, lattice=None, weights=None):
+            if weights is None:
+                weights = series_weights(points)
             acc = np.zeros((points.shape[0], zgrid.shape[0]), dtype=complex)
-            weights = _binom_weight_iter(m)
-            j = 0
-            for wj in weights:
+            for j, wj in enumerate(weights):
                 zj = b ** (arg_pow - j) * zgrid
                 acc += wj * tp.centered_exp_integrand(
                     zj, points, lattice, arg_pow=(b, arg_pow - j),
                     zbase=zgrid, phase_cache=phase_cache)
-                u_next = s * b ** (-(j + 1)) * zmax * xmax
-                rho1 = (j + 2 + m) / ((j + 2) * b)
-                rho2 = (j + 2 + m) / ((j + 2) * b * b)
-                if u_next <= 1.0 and rho1 < 1.0:
-                    w_next = wj * (j + 1 + m) / (j + 1)
-                    tail = w_next * (0.5 * u_next * u_next / (1.0 - rho2)
-                                     + u_next / (1.0 - rho1))
-                    if tail < tol / 4.0:
-                        break
-                j += 1
-                if j > MAX_SERIES_TERMS:
-                    raise ToleranceError("forward series term cap exceeded")
             return acc
 
         small_c, large_bound = _series_envelopes(b, m, s, zmax)
-        jump, err = ms.sum_over_measure(
-            rho.levy, point_series,
-            small_c=small_c, small_p=2, large_bound=large_bound,
-            tol=tol / 2.0, out_shape=(zgrid.shape[0],), dtype=complex)
+        bounds = dict(small_c=small_c, small_p=2, large_bound=large_bound,
+                      tol=tol / 2.0)
+        for comp in rho.levy.components:
+            if isinstance(comp, ms.Atoms) or comp.base != b:
+                part, tail = ms.sum_over_measure(
+                    ms.LevyMeasure((comp,)), point_series,
+                    out_shape=(zgrid.shape[0],), dtype=complex, **bounds)
+            else:
+                # the terms of the per-point series, whose length the whole
+                # component sets; below radius 1 the two halves of the sum by
+                # phase index grow as k falls when r * b < 1 and would
+                # cancel, so those points keep the per-point series
+                r, masses, ks, tail = ms._enumerate_component(comp, **bounds)
+                part = np.zeros(zgrid.shape[0], dtype=complex)
+                if r.size:
+                    pts = r[:, None] * comp.direction[None, :]
+                    weights = series_weights(pts)
+                    inner = r < 1.0
+                    if not inner.all():
+                        part = part + _regrouped_series(
+                            zgrid, comp, ks[~inner], masses[~inner], weights,
+                            arg_pow)
+                    if inner.any():
+                        vals = point_series(pts[inner], (comp, ks[inner]),
+                                            weights)
+                        part = part + np.tensordot(masses[inner], vals,
+                                                   axes=(0, 0))
+            jump = jump + part
+            err += tail
         err += tol / 4.0  # per-point series truncation
 
     values = quad_part + drift_part + jump

@@ -32,6 +32,7 @@ _DIR_DECIMALS = 9
 DROP_TOL = 1e-12     # relative size below which a merged segment is dropped
 SIGN_WINDOW = 96     # indices checked around each finite segment boundary
 FAMILY_TOL = 1e-9    # relative slack of skeleton offsets and lattice bases
+_SCAN_BLOCK = 256    # indices per block of a lattice window's upper-end scan
 
 
 def unit_direction(v) -> np.ndarray:
@@ -197,7 +198,16 @@ def _segment_window(lat: ScaleLattice, seg: Segment, small_c, small_p,
         prev = None
         ratio_hits = 0
         tail_hi = None
+        k0, block = k, np.zeros(0)
         while k - klo < _ENUM_CAP:
+            if k - k0 == block.size:
+                # radii and masses a block at a time; the rule below reads
+                # the same floats as one index at a time
+                k0 = k
+                block = np.arange(k, min(k + _SCAN_BLOCK, klo + _ENUM_CAP),
+                                  dtype=float)
+                with np.errstate(over="ignore"):
+                    radii, masses = lat.radius(block), seg.mass(block)
             if loga + k * logb > 700.0:
                 # radii beyond double range; only slowly decaying power tails
                 # get here, and their remainder goes to the error budget
@@ -217,9 +227,9 @@ def _segment_window(lat: ScaleLattice, seg: Segment, small_c, small_p,
                         + logb / 700.0 * kk ** (2 - p) / (p - 2))
                 khi = k - 1
                 return klo, khi, tail_lo + tail_hi
-            R = lat.radius(k)
+            R = radii[k - k0]
             env = small_c * R**small_p if R < 1.0 else float(large_bound(R))
-            term = float(seg.mass(np.array([k]))[0]) * env
+            term = float(masses[k - k0]) * env
             if prev is not None and prev > 0:
                 ratio = term / prev
                 ratio_hits = ratio_hits + 1 if ratio < 0.95 else 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import measures as ms
-from .errors import InvalidTripletError
+from .errors import InvalidTripletError, ToleranceError
 
 TOL_PSD = 1e-12
 
@@ -147,10 +147,22 @@ def _as_grid(z, dim) -> np.ndarray:
 # beyond this phase magnitude, double-precision rounding of <z, x> puts
 # O(|u| * eps) garbage into the phase; reduce mod 2 pi exactly instead
 PHASE_SAFE = 1e6
+GUARD_DIGITS = 60    # digits kept after the point of a phase before reduction
 
+# 2 pi to 721 significant digits (mpmath): enough for any phase of float
+# inputs, whose magnitude stays below 1e617, plus the guard digits
 _TWO_PI_STR = ("6.28318530717958647692528676655900576839433879875021164194988918"
                "4615632812572417997256069650684234135964296173026564613294187689"
-               "2191011644634507188162569622349005682054038770422111192892458979")
+               "2191011644634507188162569622349005682054038770422111192892458979"
+               "0986076392885762195133186689225695129646757356633054240381829129"
+               "7133846920697220908653296426787214520498282547449174013212631176"
+               "3497630418419256585081834307287357851807200226610610976409330427"
+               "6829390388302321886611454073151918390618437223476386522358621023"
+               "7096148924759925499134703771505449782455876366023898259667346724"
+               "8813132861720427898927904494743814043597218874055410784343525863"
+               "5350476934963693533881026400113625429052712165557154268551557921"
+               "8347274357442936881802449906860293099170742101584559378517847084"
+               "039912224258043922")
 
 
 def _reduced_phases(u: np.ndarray, zbase: np.ndarray, lattice,
@@ -159,6 +171,10 @@ def _reduced_phases(u: np.ndarray, zbase: np.ndarray, lattice,
     too large for double precision with ``beta_j * scale * base**k_i mod 2 pi``
     computed in high-precision decimal arithmetic.
 
+    ``beta_j = anchor * <z_j, direction>`` is the exact decimal product of
+    the float inputs, formed once per grid column, and the context keeps
+    ``GUARD_DIGITS`` digits after the point of the largest phase; a phase
+    that needs more digits than ``_TWO_PI_STR`` holds raises ToleranceError.
     ``arg_pow = (pbase, power)`` expresses an exact argument scale
     ``pbase**power``, so pre-scaled grids never round the phase away.  The
     reduced phases go to one table per component, ``(e0, table)`` with
@@ -175,27 +191,38 @@ def _reduced_phases(u: np.ndarray, zbase: np.ndarray, lattice,
     rows, cols = np.nonzero(np.abs(u) > PHASE_SAFE)
     if rows.size == 0:
         return u
-    beta = comp.anchor * (zbase @ comp.direction)
-    kmax = int(np.max(ks[rows]))
-    prec = 60 + max(int(kmax * math.log10(comp.base)) + 1, 0)
-    if arg_pow is not None:
-        prec += int(abs(arg_pow[1]) * math.log10(max(arg_pow[0], 2.0))) + 1
     fold = arg_pow is not None and arg_pow[0] == comp.base
     es = ks[rows] + int(arg_pow[1]) if fold else ks[rows]
+    zdir = zbase @ comp.direction
+    digits = math.log10(comp.anchor * float(np.max(np.abs(zdir[cols])))) \
+        + int(es.max()) * math.log10(comp.base)
+    if arg_pow is not None and not fold:
+        digits += int(arg_pow[1]) * math.log10(arg_pow[0])
+    prec = GUARD_DIGITS + max(int(digits) + 1, 0)
+    if prec > len(_TWO_PI_STR) - 1:
+        raise ToleranceError(f"a lattice phase of about 1e{int(digits)} "
+                             "needs more digits of 2 pi than are held")
     out = u.copy()
     with decimal.localcontext() as ctx:
         ctx.prec = prec
-        two_pi = decimal.Decimal(_TWO_PI_STR)
-        base = decimal.Decimal(comp.base)
-        scale = (decimal.Decimal(arg_pow[0]) ** int(arg_pow[1])
-                 if arg_pow is not None and not fold else decimal.Decimal(1))
+        D = decimal.Decimal
+        two_pi = +D(_TWO_PI_STR)
+        base = D(comp.base)
+        scale = (D(arg_pow[0]) ** int(arg_pow[1])
+                 if arg_pow is not None and not fold else D(1))
         powers: dict = {}
+        betas: dict = {}
 
         def phase(j, e):
             pk = powers.get(e)
             if pk is None:
                 pk = powers[e] = base ** e
-            return float((decimal.Decimal(float(beta[j])) * scale * pk) % two_pi)
+            beta = betas.get(j)
+            if beta is None:
+                beta = betas[j] = D(comp.anchor) * sum(
+                    D(float(zi)) * D(float(xi))
+                    for zi, xi in zip(zbase[j], comp.direction)) * scale
+            return float((beta * pk) % two_pi)
 
         if cache is None or not fold:
             cache = {}

@@ -94,6 +94,29 @@ def test_check_exit_codes(tmp_path):
                      "--out", out]) == 0
 
 
+def test_check_level_records_no_tolerance(tmp_path):
+    # the nested ladder reads no --tol: two tolerances give the same
+    # certificate and manifests that differ only in the command line
+    g = write_spec(tmp_path, "g.json", GAUSS)
+    certs, manifests = [], []
+    for tol in ("1e-3", "1e-8"):
+        out = str(tmp_path / f"cert{tol}.json")
+        assert cli.main(["check", g, "--b", "2", "--level", "1", "--tol", tol,
+                         "--out", out]) == 0
+        certs.append(json.load(open(out)))
+        manifests.append(json.load(open(out[:-len(".json")]
+                                        + ".manifest.json")))
+    for cert in certs:
+        cert.pop("manifest")
+    for manifest in manifests:
+        assert manifest.pop("command")[-3] in ("1e-3", "1e-8")
+        manifest.pop("wall_time")
+        assert manifest["tolerances"] == {}
+    assert json.dumps(certs[0], sort_keys=True) == \
+        json.dumps(certs[1], sort_keys=True)
+    assert manifests[0] == manifests[1]
+
+
 def test_check_semistable(tmp_path):
     ss = write_spec(tmp_path, "ss.json", {
         "schema": 1, "levy": [{"kind": "semistable", "b": 2.0, "alpha": 1.0}]})
@@ -248,11 +271,11 @@ def test_simulate_golden_bytes(tmp_path, name):
 MAP_GOLDEN = {
     "edge-m0": (
         EDGE, ["--m", "0", "--grid", "2:3", "--tol", "1e-4"],
-        "5016610fe41e80137b817314b8b4de490dbef7db86a56ff1e4d2acc69b334424",
+        "819b9c2ff8cec5a523fe6a9449692bebc176622745df9e4ecde535ac50c9d38d",
         "101a633e288e0c02b35841fb541aa187eab27d4fae51c71ec6e4df37a1683926"),
     "edge4-m1": (
         EDGE4, ["--m", "1", "--grid", "2:3", "--tol", "1e-4"],
-        "ef8bb1bd291fb71de3dd48e3a6ed1a2cff4ab76296cf247f00dbadf464113933",
+        "9763aac1ff94a5ac2c7fd77ad00da5f5e314c51f17c1a6e92f2beaaecc7be9e6",
         "c1e1654657ce9616bad35694e05154ce067821f16bae7399ed3db7d401a2f522"),
 }
 
@@ -269,6 +292,30 @@ def test_map_golden_bytes(tmp_path, name):
     assert head.decode() == "# manifest: " + report.pop("manifest")
     assert _sha(body) == csv_sha
     assert _sha(json.dumps(report, sort_keys=True).encode()) == report_sha
+
+
+def test_edge_map_work_guards(tmp_path, monkeypatch):
+    # the EDGE lattice lies above radius 1, so the sum by phase index
+    # evaluates no (point, term) cell, and the window scans read masses a
+    # block of indices at a time
+    cells, mass_calls = [], []
+    integrand, mass = tp.centered_exp_integrand, ms.Segment.mass
+
+    def counted_integrand(zgrid, points, *args, **kwargs):
+        cells.append(points.shape[0] * zgrid.shape[0])
+        return integrand(zgrid, points, *args, **kwargs)
+
+    def counted_mass(self, k):
+        mass_calls.append(1)
+        return mass(self, k)
+
+    monkeypatch.setattr(tp, "centered_exp_integrand", counted_integrand)
+    monkeypatch.setattr(ms.Segment, "mass", counted_mass)
+    spec = write_spec(tmp_path, "edge.json", EDGE)
+    assert cli.main(["map", spec, "--b", "2", "--m", "0", "--grid", "2:3",
+                     "--tol", "1e-4", "--out", str(tmp_path / "map")]) == 0
+    assert sum(cells) == 0
+    assert len(mass_calls) <= 36
 
 
 # simulate's own flags, then the span and level flags all subcommands share

@@ -146,3 +146,58 @@ def test_signed_factor_is_not_vouched_for():
     assert not inv.nonnegative
     with pytest.raises(InvalidTripletError, match="negative lattice mass"):
         tp.require_valid(inv.rho)
+
+
+def _direct_double_sum(rho, b, zgrid, m, arg_pow, terms=240):
+    """``sum_x nu(x) sum_{j < terms} C(j+m, m) g(b^(arg_pow - j) z, x)`` for
+    a measure of atoms and finite lattices, one (point, term) cell at a
+    time."""
+    total = np.zeros(zgrid.shape[0], dtype=complex)
+    for comp in rho.levy.components:
+        if isinstance(comp, ms.Atoms):
+            pts, wts = comp.points, comp.weights
+        else:
+            ks = np.concatenate([np.arange(s.kmin, s.kmax + 1)
+                                 for s in comp.segments])
+            wts = np.concatenate([s.mass(np.arange(s.kmin, s.kmax + 1))
+                                  for s in comp.segments])
+            pts = comp.radius(ks)[:, None] * comp.direction[None, :]
+        for j in range(terms):
+            g = tp.centered_exp_integrand(b ** (arg_pow - j) * zgrid, pts)
+            total += math.comb(j + m, m) * (wts @ g)
+    return total
+
+
+# finite lattices on the span's base whose windows straddle radius 1; the
+# deep one has r * b < 1, so summed by phase index its points below radius
+# 1 would cancel O(1e5) terms down to O(1)
+REGROUP_CASES = {
+    "1d": (2.0, [1.0], 0.7, (ms.Segment(w=0.9, r=0.5, kmin=-6, kmax=10),),
+           None),
+    "1d-deep": (2.0, [-1.0], 1.0,
+                (ms.Segment(w=0.5, r=0.4, kmin=-60, kmax=6),), None),
+    "2d-signed-power": (
+        2.5, [0.6, -0.8], 1.3,
+        (ms.Segment(w=1.0, r=0.6, kmin=-5, kmax=8),
+         ms.Segment(w=-0.3, r=0.6, kmin=0, kmax=4),
+         ms.Segment(w=0.5, r=1.0, kmin=1, kmax=9, power=3)),
+        ms.Atoms([[0.4, 0.3], [-2.0, 1.0]], [0.6, 0.2])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REGROUP_CASES))
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("arg_pow", [0, -1])
+def test_regrouped_series_matches_per_point_sum(case, m, arg_pow):
+    b, direction, anchor, segments, atoms = REGROUP_CASES[case]
+    lat = ms.ScaleLattice(direction, b, segments, anchor)
+    assert np.min(lat.radius([s.kmin for s in segments])) < 1.0 < \
+        np.max(lat.radius([s.kmax for s in segments]))
+    comps = (lat,) if atoms is None else (atoms, lat)
+    d = len(direction)
+    rho = tp.LevyTriplet(np.zeros((d, d)), ms.LevyMeasure(comps), np.zeros(d))
+    zgrid = mp.default_grid(d, zmax=3.0, n=7)
+    got = mp.forward_cumulant(rho, b, zgrid, m=m, arg_pow=arg_pow)
+    want = _direct_double_sum(rho, b, zgrid, m, arg_pow)
+    miss = np.abs(got.values - want)
+    assert np.all(miss <= got.err_bound + 1e-13 * (1.0 + np.abs(want)))

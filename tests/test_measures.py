@@ -234,3 +234,48 @@ def test_sum_over_measure_matches_direct_atoms():
                                  out_shape=(), dtype=float)
     assert v == pytest.approx(0.5 * 1.0 + 0.25 * 2.0)
     assert err <= 1e-12
+
+
+def _window_or_error(lat, seg, envelope):
+    try:
+        return ms._segment_window(lat, seg, *envelope)
+    except ToleranceError as exc:
+        return str(exc)
+
+
+# segments whose window scans its upper end: power tails up to radius e^700,
+# geometric ones from a finite and from an infinite lowest index, and a
+# negative one, which no ratio rule ends
+WINDOW_CASES = {
+    "power3": (2.0, 1.0, ms.Segment(w=1.0, r=1.0, kmin=1, power=3)),
+    "power4": (2.0, 1.0, ms.Segment(w=1.1, r=1.0, kmin=1, power=4)),
+    "geometric": (1.8, 1.4563, ms.Segment(w=0.5665, r=0.8644, kmin=-3)),
+    "kmin-inf": (2.0, 1.3, ms.Segment(w=0.8, r=0.6)),
+    "signed": (2.0, 1.0, ms.Segment(w=-0.2, r=0.5, kmin=3)),
+}
+# (small_c, small_p, large_bound, tol) of square_one_integral, of
+# measure_cumulant at |z| <= 5 and of a growing forward-series envelope
+WINDOW_ENVELOPES = {
+    "square-one": (1.0, 2, lambda R: 1.0, 1e-10),
+    "cumulant": (17.5, 2, lambda R: 4.5, 1e-12),
+    "growing": (4.0, 2, lambda R: 9.0 * max(math.log(max(R, 1.0)), 1.0),
+                1e-6),
+}
+
+
+@pytest.mark.parametrize("envelope", sorted(WINDOW_ENVELOPES))
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_block_window_scan_matches_scalar_scan(monkeypatch, case, envelope):
+    # one index per block is the scalar scan; blocks of 7 end inside every
+    # run; the window and its tail bound must not see the block size
+    base, anchor, seg = WINDOW_CASES[case]
+    lat = ms.ScaleLattice([1.0], base, (seg,), anchor)
+    env = WINDOW_ENVELOPES[envelope]
+    blocked = _window_or_error(lat, seg, env)
+    for size in (1, 7):
+        monkeypatch.setattr(ms, "_SCAN_BLOCK", size)
+        assert _window_or_error(lat, seg, env) == blocked
+    if case == "signed":
+        assert blocked == "lattice tail bound did not converge"
+    else:
+        assert isinstance(blocked, tuple)
