@@ -54,18 +54,18 @@ def _binom_weight_iter(m: int):
         w *= (j + m) / j
 
 
-def _series_envelopes(b, m, arg_scale, zmax):
+def _series_envelope(b, m, arg_scale, zmax) -> ms.Envelope:
+    """Bound on the series term sum: at radius ``R``, a constant times
+    ``C(n, m+1) <= (n0 + log_b R)^(m+1) / (m+1)!``, a polynomial in ``log R``."""
     gm1 = (1.0 - 1.0 / b) ** (-(m + 1))
     gm2 = (1.0 - 1.0 / (b * b)) ** (-(m + 1))
     small_c = 0.5 * (arg_scale * zmax) ** 2 * gm2 + arg_scale * zmax * gm1
-
-    def large_bound(R):
-        u = max(arg_scale * zmax * R, 1.0)
-        jstar = int(math.ceil(math.log(u) / math.log(b))) + 2
-        return (4.0 + 1.0 / (1.0 - 1.0 / b)) * (1.0 + zmax) * \
-            math.comb(jstar + m + 2, m + 1)
-
-    return small_c, large_bound
+    logb = math.log(b)
+    n0 = max(math.log(arg_scale * zmax), 0.0) / logb + m + 5.0
+    c = (4.0 + 1.0 / (1.0 - 1.0 / b)) * (1.0 + zmax) / math.factorial(m + 1)
+    return ms.Envelope(small_c, 2, tuple(
+        c * math.comb(m + 1, i) * n0 ** (m + 1 - i) / logb ** i
+        for i in range(m + 2)))
 
 
 def _series_weights(b, m, arg_scale, zmax, xmax, tol) -> list:
@@ -162,20 +162,19 @@ def forward_cumulant(rho: tp.LevyTriplet, b: float, z, *, m: int = 0,
                     zbase=zgrid, phase_cache=phase_cache)
             return acc
 
-        small_c, large_bound = _series_envelopes(b, m, s, zmax)
-        bounds = dict(small_c=small_c, small_p=2, large_bound=large_bound,
-                      tol=tol / 2.0)
+        env = _series_envelope(b, m, s, zmax)
         for comp in rho.levy.components:
             if isinstance(comp, ms.Atoms) or comp.base != b:
                 part, tail = ms.sum_over_measure(
-                    ms.LevyMeasure((comp,)), point_series,
-                    out_shape=(zgrid.shape[0],), dtype=complex, **bounds)
+                    ms.LevyMeasure((comp,)), point_series, envelope=env,
+                    tol=tol / 2.0, out_shape=(zgrid.shape[0],), dtype=complex)
             else:
                 # the terms of the per-point series, whose length the whole
                 # component sets; below radius 1 the two halves of the sum by
                 # phase index grow as k falls when r * b < 1 and would
                 # cancel, so those points keep the per-point series
-                r, masses, ks, tail = ms._enumerate_component(comp, **bounds)
+                r, masses, ks, tail = ms._enumerate_component(comp, env,
+                                                              tol / 2.0)
                 part = np.zeros(zgrid.shape[0], dtype=complex)
                 if r.size:
                     pts = r[:, None] * comp.direction[None, :]
@@ -281,8 +280,8 @@ def forward_triplet(rho: tp.LevyTriplet, b: float,
 
         shift, _ = ms.sum_over_measure(
             rho.levy, centering_series,
-            small_c=1.0 / (1.0 - 1.0 / b), small_p=3,
-            large_bound=lambda R: 3.0 / (1.0 - 1.0 / b),
+            envelope=ms.Envelope(1.0 / (1.0 - 1.0 / b), 3,
+                                 (3.0 / (1.0 - 1.0 / b),)),
             tol=tol, out_shape=(rho.dim,), dtype=float)
         gamma_out = gamma_out + shift
 
@@ -336,8 +335,7 @@ def inverse_factor(mu: tp.LevyTriplet, b: float,
 
         T, _ = ms.sum_over_measure(
             mu.levy, pushforward_centering,
-            small_c=(1.0 - b ** (-2)) / b, small_p=3,
-            large_bound=lambda R: b / R,
+            envelope=ms.Envelope((1.0 - b ** (-2)) / b, 3, (b,), decay=1),
             tol=tol, out_shape=(mu.dim,), dtype=float)
         gamma_rho = gamma_rho - T
 

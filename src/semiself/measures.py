@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,11 +28,12 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 _ENUM_CAP = 200_000
+_LOG_HEAD = 1 << 14  # log-moment head of a power tail, and its block size
+_LOG_CAP = 1 << 23   # longest log-moment head
 _DIR_DECIMALS = 9
 DROP_TOL = 1e-12     # relative size below which a merged segment is dropped
-SIGN_WINDOW = 96     # indices checked around each finite segment boundary
 FAMILY_TOL = 1e-9    # relative slack of skeleton offsets and lattice bases
-_SCAN_BLOCK = 256    # indices per block of a lattice window's upper-end scan
+_ROUNDING = 1.0 + 2.0 ** -32  # relative rounding of a closed-form tail
 
 
 def unit_direction(v) -> np.ndarray:
@@ -152,139 +153,136 @@ EMPTY = LevyMeasure(())
 
 
 # ---------------------------------------------------------------------------
-# lattice enumeration with analytic tail bounds
+# lattice enumeration with closed-form tail bounds
 
 
-def _segment_window(lat: ScaleLattice, seg: Segment, small_c, small_p,
-                    large_bound, tol):
-    """Finite index window [klo, khi] for one segment plus tail bounds.
+class Envelope(NamedTuple):
+    """``|f(x)| <= small_c |x|**small_p`` (``small_p >= 2``) for ``|x| <= 1``,
+    and ``sum_i poly[i] (log R)**i / R**decay`` (``poly >= 0``) at ``R >= 1``."""
+    small_c: float
+    small_p: int
+    poly: tuple
+    decay: int = 0
 
-    ``small_c * |x|**small_p`` (small_p >= 2) bounds the integrand below
-    radius 1; ``large_bound(R)`` bounds it at radius R >= 1 and may grow
-    slowly with R.
-    """
-    b = lat.base
-    logb = math.log(b)
-    loga = math.log(lat.anchor)
-    tol_part = max(tol, 1e-300) / 4.0
 
-    # --- lower end
+def tail(lat: ScaleLattice, seg: Segment, K, env: Envelope) -> float:
+    """Closed-form bound on ``sum_{k > K} |m(k)| env(R_k)`` for ``K`` at or
+    past radius 1: the smaller of a geometric sum in ``rho = r b^-decay`` and,
+    for ``power > deg + 1``, an integral from ``K + 1/2`` (see README)."""
+    if seg.kmax <= K:
+        return 0.0
+    k1, P = max(K + 1, seg.kmin), seg.power
+    logb, loga = math.log(lat.base), math.log(lat.anchor)
+    log_rho = math.log(seg.r) - env.decay * logb
+    log_head = math.log(max(abs(seg.w), 1e-300)) - env.decay * loga \
+        + k1 * log_rho
+    if log_head > 700.0 or log_rho > 0.0:
+        return math.inf
+
+    def expand(x0, sums):  # sum_i poly_i (x0 + j log b)^i, sums[t] for j^t
+        return math.exp(log_head) * sum(
+            c * math.comb(i, t) * x0 ** (i - t) * logb ** t * sums[t]
+            for i, c in enumerate(env.poly) for t in range(i + 1))
+
+    bound = math.inf
+    if log_rho < 0.0:
+        rho = math.exp(log_rho)
+        S = [1.0 / (1.0 - rho)]
+        for t in range(1, len(env.poly)):
+            S.append(rho / (1.0 - rho)
+                     * sum(math.comb(t, s) * S[s] for s in range(t)))
+        bound = k1 ** -P * expand(max(loga + k1 * logb, 0.0), S)
+    if P > len(env.poly):
+        bound = min(bound, expand(max(loga, 0.0), [
+            (k1 - 0.5) ** (t - P + 1) / (P - t - 1) for t in range(P - 1)]))
+    return bound * _ROUNDING
+
+
+def _first_within(bound, lo: int, hi: int, budget: float):
+    """The first ``K`` in ``[lo, hi]`` with ``bound(K) <= budget`` for a
+    nonincreasing ``bound``, by bisection, or None."""
+    if lo > hi or bound(hi) > budget:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if bound(mid) > budget else (lo, mid)
+    return lo
+
+
+def _lower_end(lat: ScaleLattice, seg: Segment, small_c, small_p, budget):
+    """Lowest window index ``klo`` and a bound within ``budget`` on
+    ``sum_{k < klo} |m(k)| small_c R_k**small_p``, a geometric sum."""
     if seg.kmin != NEG_INF:
-        klo, tail_lo = int(seg.kmin), 0.0
-    else:
-        q = seg.r * b * b
-        if q <= 1.0:
-            raise InvalidTripletError("lattice mass diverges near the origin")
-        # tail_{k<=K} m(k)|x_k|^2 <= w * anchor^2 * q^(K+1)/(q-1); the extra
-        # |x|^(small_p-2) factor is bounded by R_K^(small_p-2).
-        k_unit = math.floor(-loga / logb)  # radius <= 1 from here down
-        lw = math.log(seg.w) + 2.0 * loga - math.log(q - 1.0) + math.log(max(small_c, 1e-300))
-        slope = math.log(q) + (small_p - 2) * logb
+        return int(seg.kmin), 0.0
+    b = lat.base
+    logb, loga = math.log(b), math.log(lat.anchor)
+    q = seg.r * b * b
+    if q <= 1.0:
+        raise InvalidTripletError("lattice mass diverges near the origin")
+    # tail_{k<=K} m(k)|x_k|^2 <= w * anchor^2 * q^(K+1)/(q-1); the extra
+    # |x|^(small_p-2) factor is bounded by R_K^(small_p-2)
+    lw = math.log(max(abs(seg.w), 1e-300)) + 2.0 * loga - math.log(q - 1.0) \
+        + math.log(max(small_c, 1e-300))
+    slope = math.log(q) + (small_p - 2) * logb
 
-        def bound_log(K):
-            return lw + (K + 1) * math.log(q) + (small_p - 2) * (loga + K * logb)
+    def bound_log(K):
+        return lw + (K + 1) * math.log(q) + (small_p - 2) * (loga + K * logb)
 
-        K = min(k_unit, int(seg.kmax) if seg.kmax != POS_INF else k_unit)
-        need = math.log(tol_part)
-        if bound_log(K) > need:
-            K = K - int(math.ceil((bound_log(K) - need) / slope)) - 1
-        klo, tail_lo = K + 1, math.exp(min(bound_log(K), 300.0))
+    k_unit = math.floor(-loga / logb)  # radius <= 1 from here down
+    K = int(min(k_unit, seg.kmax))
+    need = math.log(budget)
+    if bound_log(K) > need:
+        K = K - int(math.ceil((bound_log(K) - need) / slope)) - 1
+    return K + 1, math.exp(min(bound_log(K), 300.0))
 
-    # --- upper end
+
+def _segment_window(lat: ScaleLattice, seg: Segment, env: Envelope, tol):
+    """Index window ``[klo, khi]`` of one segment and a bound on ``|m| env``
+    outside it: ``khi`` is the first index whose ``tail`` is within budget,
+    or radius e^700 for a power tail (the remainder goes to the bound)."""
+    logb, loga = math.log(lat.base), math.log(lat.anchor)
+    tol_part = max(tol, 1e-300) / 4.0
+    klo, tail_lo = _lower_end(lat, seg, env.small_c, env.small_p, tol_part)
     if seg.kmax != POS_INF:
-        khi, tail_hi = int(seg.kmax), 0.0
-    else:
-        k = max(klo, math.floor(-loga / logb))
-        prev = None
-        ratio_hits = 0
-        tail_hi = None
-        k0, block = k, np.zeros(0)
-        while k - klo < _ENUM_CAP:
-            if k - k0 == block.size:
-                # radii and masses a block at a time; the rule below reads
-                # the same floats as one index at a time
-                k0 = k
-                block = np.arange(k, min(k + _SCAN_BLOCK, klo + _ENUM_CAP),
-                                  dtype=float)
-                with np.errstate(over="ignore"):
-                    radii, masses = lat.radius(block), seg.mass(block)
-            if loga + k * logb > 700.0:
-                # radii beyond double range; only slowly decaying power tails
-                # get here, and their remainder goes to the error budget
-                env_cap = float(large_bound(math.exp(700.0)))
-                flat_env = env_cap <= float(large_bound(math.exp(350.0))) * \
-                    (1.0 + 1e-9)
-                p, kk = seg.power, float(k)
-                if seg.r != 1.0 or p <= (1 if flat_env else 2):
-                    raise ToleranceError("lattice tail bound did not converge")
-                if flat_env:
-                    tail_hi = env_cap * seg.w * kk ** (1 - p) / (p - 1)
-                else:
-                    # envelope grows at most linearly in log radius
-                    scale = max(1.0, (loga + kk * logb) / 700.0)
-                    tail_hi = env_cap * seg.w * scale * (
-                        kk ** (1 - p) / (p - 1)
-                        + logb / 700.0 * kk ** (2 - p) / (p - 2))
-                khi = k - 1
-                return klo, khi, tail_lo + tail_hi
-            R = radii[k - k0]
-            env = small_c * R**small_p if R < 1.0 else float(large_bound(R))
-            term = float(masses[k - k0]) * env
-            if prev is not None and prev > 0:
-                ratio = term / prev
-                ratio_hits = ratio_hits + 1 if ratio < 0.95 else 0
-                if term < tol_part / 8.0 and ratio_hits >= 3:
-                    rho = min(max(ratio, 1e-12), 0.95)
-                    tail_hi = term * rho / (1.0 - rho)
-                    break
-                if term < tol_part / 8.0 and 0.95 <= ratio < 1.0 and seg.power:
-                    # algebraic decay: estimate exponent and integral tail
-                    p_hat = -math.log(ratio) / math.log((k) / (k - 1.0)) if k > 1 else 0.0
-                    if p_hat > 1.05:
-                        tail_hi = term * k / (p_hat - 1.0)
-                        if tail_hi < tol_part:
-                            break
-                        tail_hi = None
-            prev = term
-            k += 1
-        else:
+        return klo, int(seg.kmax), tail_lo
+    k_edge = math.floor((700.0 - loga) / logb)  # last index at radius <= e^700
+    k_cap = klo + _ENUM_CAP - 1
+    khi = _first_within(lambda K: tail(lat, seg, K, env),
+                        max(klo, math.floor(-loga / logb)), min(k_edge, k_cap),
+                        tol_part / 8.0)
+    if khi is None:
+        if k_edge > k_cap:
             raise ToleranceError("lattice enumeration cap exceeded")
-        if tail_hi is None:
+        khi = k_edge
+        if not seg.power or math.isinf(tail(lat, seg, khi, env)):
             raise ToleranceError("lattice tail bound did not converge")
-        khi = k
-    return klo, khi, tail_lo + tail_hi
+    return klo, khi, tail_lo + tail(lat, seg, khi, env)
 
 
-def _enumerate_component(lat: ScaleLattice, small_c, small_p, large_bound, tol):
+def _enumerate_component(lat: ScaleLattice, env: Envelope, tol):
     """All lattice points needed to evaluate an integrand within ``tol``."""
-    radii, masses, indices = [], [], []
-    err = 0.0
+    ks, masses, err = [np.zeros(0, dtype=int)], [np.zeros(0)], 0.0
     for seg in lat.segments:
-        klo, khi, tail = _segment_window(lat, seg, small_c, small_p, large_bound, tol)
-        ks = np.arange(klo, khi + 1, dtype=float)
-        radii.append(lat.radius(ks))
-        masses.append(seg.mass(ks))
-        indices.append(ks.astype(int))
-        err += tail
-    if not radii:
-        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=int), 0.0
-    return (np.concatenate(radii), np.concatenate(masses),
-            np.concatenate(indices), err)
+        klo, khi, tail_bound = _segment_window(lat, seg, env, tol)
+        ks.append(np.arange(klo, khi + 1))
+        masses.append(seg.mass(ks[-1]))
+        err += tail_bound
+    ks = np.concatenate(ks)
+    return lat.radius(ks), np.concatenate(masses), ks, err
 
 
 # ---------------------------------------------------------------------------
 # generic integration against a measure
 
 
-def sum_over_measure(levy: LevyMeasure, f, *, small_c, small_p, large_bound,
-                     tol, out_shape=(), dtype=complex):
+def sum_over_measure(levy: LevyMeasure, f, *, envelope: Envelope, tol,
+                     out_shape=(), dtype=complex):
     """Evaluate ``integral f(x) nu(dx)`` with an error bound.
 
     ``f(points, lattice=None)`` maps an ``(n, d)`` array to ``(n,) + out_shape``;
     for lattice components it also receives ``lattice=(component, indices)``
-    so it can reduce huge oscillatory phases exactly.
-    ``small_c * |x|**small_p`` must dominate ``|f|`` for ``|x| <= 1``
-    (``small_p >= 2``) and ``large_bound(R)`` for ``|x| = R >= 1``.
+    so it can reduce huge oscillatory phases exactly.  ``envelope`` must
+    dominate ``|f|``.
     """
     total = np.zeros(out_shape, dtype=dtype)
     err = 0.0
@@ -293,13 +291,12 @@ def sum_over_measure(levy: LevyMeasure, f, *, small_c, small_p, large_bound,
             vals = f(comp.points)
             total = total + np.tensordot(comp.weights, vals, axes=(0, 0))
         else:
-            r, m, ks, tail = _enumerate_component(comp, small_c, small_p,
-                                                  large_bound, tol)
+            r, m, ks, tail_bound = _enumerate_component(comp, envelope, tol)
             if r.size:
                 pts = r[:, None] * comp.direction[None, :]
                 vals = f(pts, lattice=(comp, ks))
                 total = total + np.tensordot(m, vals, axes=(0, 0))
-            err += tail
+            err += tail_bound
     return total, err
 
 
@@ -339,9 +336,8 @@ def square_one_integral(levy: LevyMeasure) -> float:
             n2 = np.sum(pts * pts, axis=1)
         return np.minimum(n2, 1.0)
 
-    v, _ = sum_over_measure(levy, f, small_c=1.0, small_p=2,
-                            large_bound=lambda R: 1.0, tol=1e-10,
-                            out_shape=(), dtype=float)
+    v, _ = sum_over_measure(levy, f, envelope=Envelope(1.0, 2, (1.0,)),
+                            tol=1e-10, out_shape=(), dtype=float)
     return float(v)
 
 
@@ -366,35 +362,26 @@ def _outer_segments(lat: ScaleLattice, p: int):
 
 
 def _lattice_log_moment(lat: ScaleLattice, p: int) -> float:
+    """Per segment an exactly rounded head, ending where its ``tail`` is below
+    2^-60 of its first term (at most ``_LOG_HEAD`` indices of a power tail at
+    r == 1, ``_LOG_CAP`` of others), plus that tail."""
     logb, loga = math.log(lat.base), math.log(lat.anchor)
     outer = _outer_segments(lat, p)
     if outer is None:
         return math.inf
+    env = Envelope(0.0, 2, (0.0,) * p + (1.0,))
     total = 0.0
-    for seg, kstart in outer:
-        k = kstart
-        acc, prev = 0.0, None
-        while True:
-            if seg.kmax != POS_INF and k > seg.kmax:
-                break
-            term = float(seg.mass(np.array([k]))[0]) * (loga + k * logb) ** p
-            acc += term
-            if seg.kmax == POS_INF and prev is not None and term < 1e-17 * max(acc, 1e-300):
-                break
-            if seg.kmax == POS_INF and seg.r == 1.0 and k - kstart >= 10_000:
-                # slowly decaying power tail: finish with the integral of
-                # w x^-P (loga + x logb)^p from k + 1/2, in closed form
-                # (finite since P - p > 1, see _outer_segments)
-                x, P = k + 0.5, seg.power
-                acc += seg.w * sum(
-                    math.comb(p, i) * loga ** (p - i) * logb ** i
-                    * x ** (i - P + 1) / (P - i - 1) for i in range(p + 1))
-                break
-            if k - kstart > _ENUM_CAP:
-                raise ToleranceError("log-moment summation cap exceeded")
-            prev = term
-            k += 1
-        total += acc
+    for seg, k0 in outer:
+        first = abs(seg.w) * seg.r ** k0 * k0 ** -seg.power \
+            * (loga + k0 * logb) ** p
+        khi = int(min(seg.kmax, k0 + (_LOG_HEAD if seg.r == 1.0 else _LOG_CAP)))
+        K = _first_within(lambda K: tail(lat, seg, K, env), k0, khi,
+                          2.0 ** -60 * first)
+        K = khi if K is None else K
+        blocks = (np.arange(k, min(k + _LOG_HEAD, K + 1), dtype=float)
+                  for k in range(k0, K + 1, _LOG_HEAD))
+        total += math.fsum(x for ks in blocks for x in (
+            seg.mass(ks) * (loga + ks * logb) ** p).tolist()) + tail(lat, seg, K, env)
     return total
 
 
@@ -423,8 +410,7 @@ def require_log_moment(levy: LevyMeasure, p: int = 1) -> None:
     The verdict is read off the segments in O(segments), without summing:
     atoms, and segments with a finite top index or inside the unit ball,
     are finite; one running to index +inf is finite iff ``r < 1``, or
-    ``r == 1`` and ``power - p > 1``.  So it also accepts a valid lattice
-    whose ratio is so close to 1 that ``log_moment`` exceeds its cap."""
+    ``r == 1`` and ``power - p > 1``."""
     if any(isinstance(c, ScaleLattice) and _outer_segments(c, p) is None
            for c in levy.components):
         raise DomainError(f"log^{p}-moment of the Levy measure is infinite; "
@@ -471,10 +457,7 @@ def canonical_families(levy: LevyMeasure, b: float) -> dict:
         fam = fams.setdefault(key, Family(np.asarray(direction), b, a0, []))
         fam.segments.append(Segment(
             w=seg.w * seg.r ** (-shift) if seg.r != 1.0 else seg.w,
-            r=seg.r,
-            kmin=seg.kmin + shift if seg.kmin != NEG_INF else NEG_INF,
-            kmax=seg.kmax + shift if seg.kmax != POS_INF else POS_INF,
-        ))
+            r=seg.r, kmin=seg.kmin + shift, kmax=seg.kmax + shift))
 
     for comp in levy.components:
         if isinstance(comp, Atoms):
@@ -533,41 +516,62 @@ def difference_segments(segments: Sequence[Segment]) -> list:
     ``nu(b .)`` has mass ``m(k+1)`` at index ``k``, i.e. each segment shifted
     down by one with weight multiplied by its ratio.
     """
-    shifted = [Segment(w=-s.w * s.r, r=s.r,
-                       kmin=s.kmin - 1 if s.kmin != NEG_INF else NEG_INF,
-                       kmax=s.kmax - 1 if s.kmax != POS_INF else POS_INF)
+    shifted = [Segment(w=-s.w * s.r, r=s.r, kmin=s.kmin - 1, kmax=s.kmax - 1)
                for s in segments]
     return simplify_segments(list(segments) + shifted)
 
 
-def segments_nonnegative(segments: Sequence[Segment]):
-    """Decide ``m(k) >= 0`` for all integer k; returns (ok, witness_index).
+def _dominance(terms):
+    """The weight ``W`` of the dominant term of ``terms`` ``(w, log r, power)``
+    as ``k -> +inf`` (largest ``r``, then smallest power) and an index ``K``
+    past which it outweighs the other terms together (see README)."""
+    groups: dict = {}
+    for w, lr, p in terms:
+        groups[lr, p] = groups.get((lr, p), 0.0) + w
+    wmax = max(abs(w) for w, _, _ in terms)
+    live = [g for g in groups if abs(groups[g]) > DROP_TOL * wmax]
+    if not live:
+        return 0.0, NEG_INF
+    lr_d, p_d = max(live, key=lambda g: (g[0], -g[1]))
+    n, W, K = len(groups), groups.pop((lr_d, p_d)), NEG_INF
+    for (lr, p), w in groups.items():
+        if w != 0.0:
+            c, lam, delta = math.log(n * abs(w) / abs(W)), lr_d - lr, p_d - p
+            k = _first_within(lambda k: c + delta * math.log(k) - lam * k,
+                              max(math.ceil(delta / lam), 1) if lam else 1,
+                              1 << 62, 0.0)
+            K = max(K, math.inf if k is None else k)
+    return W, K
 
-    Checks an explicit window around every finite boundary plus sign of the
-    asymptotically dominant term on each infinite side.
-    """
+
+def segments_nonnegative(segments: Sequence[Segment]):
+    """Decide ``m(k) >= 0`` for all integer k; returns (ok, witness_index):
+    each index up to where ``_dominance`` fixes the sign, then its weight."""
     if not segments:
         return True, None
-    finite = [s.kmin for s in segments if s.kmin != NEG_INF] + \
-             [s.kmax for s in segments if s.kmax != POS_INF]
-    lo = (min(finite) if finite else 0) - SIGN_WINDOW
-    hi = (max(finite) if finite else 0) + SIGN_WINDOW
+    finite = [k for s in segments for k in (s.kmin, s.kmax) if abs(k) != POS_INF]
+    lo, hi = (int(min(finite)), int(max(finite))) if finite else (0, 0)
+    sides = []
+    for side in (-1, +1):
+        live = [(s.w, side * math.log(s.r), s.power) for s in segments
+                if (s.kmin if side < 0 else s.kmax) == side * POS_INF]
+        if live:
+            W, K = _dominance(live)
+            sides.append((side, W))
+            if K != NEG_INF:
+                K = math.ceil(min(K, 1e18))
+                lo, hi = (min(lo, -K), hi) if side < 0 else (lo, max(hi, K))
+    if hi - lo > _ENUM_CAP:
+        raise ToleranceError("lattice sign check exceeds the enumeration cap")
     ks = np.arange(lo, hi + 1, dtype=float)
-    m = sum((s.mass(ks) for s in segments), np.zeros_like(ks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = sum((s.mass(ks) for s in segments), np.zeros_like(ks))
     scale = max(float(np.max(np.abs(m))), 1e-300)
     bad = np.nonzero(m < -1e-10 * scale)[0]
     if bad.size:
         return False, int(ks[bad[0]])
-    # infinite tails: dominant ratio wins
-    for side in (-1, +1):
-        live = [s for s in segments
-                if (s.kmin == NEG_INF if side < 0 else s.kmax == POS_INF)]
-        if not live:
-            continue
-        # as k -> -inf, smaller r dominates; as k -> +inf, larger r dominates
-        dom = min(s.r for s in live) if side < 0 else max(s.r for s in live)
-        wdom = sum(s.w for s in live if s.r == dom)
-        if wdom < -1e-12:
+    for side, W in sides:
+        if W < 0.0:
             return False, lo - 1 if side < 0 else hi + 1
     return True, None
 

@@ -53,7 +53,8 @@ class EmpiricalCF:
 
 
 def _segment_upper_points(seg: ms.Segment, lat: ms.ScaleLattice, k_from):
-    """Indices >= k_from carrying all but MASS_TOL of the segment mass."""
+    """Indices >= k_from carrying all but MASS_TOL of the segment mass: to
+    two past the first ``K`` where the ``tail`` of ``r^(k - k_from)`` is."""
     if seg.kmin != ms.NEG_INF:
         k_from = max(k_from, int(seg.kmin))
     if seg.kmax != ms.POS_INF:
@@ -62,70 +63,73 @@ def _segment_upper_points(seg: ms.Segment, lat: ms.ScaleLattice, k_from):
         return np.arange(k_from, int(seg.kmax) + 1)
     if seg.r >= 1.0:
         raise ToleranceError("segment mass not summable upward")
-    # w r^{K+1} / (1 - r) < MASS_TOL * w r^{k_from}
-    extra = math.log(MASS_TOL * (1.0 - seg.r)) / math.log(seg.r)
-    k_hi = k_from + max(int(math.ceil(extra)), 0) + 1
-    return np.arange(k_from, k_hi + 1)
+    unit = ms.Segment(w=1.0, r=seg.r)
+    J = ms._first_within(lambda J: ms.tail(lat, unit, J, ms.Envelope(
+        0.0, 2, (1.0,))), 0, 1 << 62, MASS_TOL)
+    return np.arange(k_from, k_from + J + 3)
 
 
-def _lattice_jump_pool(lat: ms.ScaleLattice, eps: float):
-    """Split one lattice at radius ``eps``: (points, masses) above, and the
-    exact (mean, cov) compensation moments of the part below."""
+def _small_jump_variance(lat: ms.ScaleLattice, k_eps: int) -> float:
+    """``sigma^2 = sum_{k < k_eps} m(k) R_k^2``: per segment the geometric
+    sum of ``w a^2 q^k``, ``q = r b^2``, over its ``n`` indices to ``top``."""
+    total = 0.0
+    for seg in lat.segments:
+        top = min(k_eps - 1, seg.kmax)
+        n, q = top - seg.kmin + 1, seg.r * lat.base * lat.base  # n = inf: q > 1
+        if n > 0:
+            total += seg.w * lat.anchor ** 2 * (n if q == 1.0 else q ** top * (
+                -math.expm1(-n * math.log(q))) / (1.0 - 1.0 / q))
+    return total
+
+
+def _lattice_jump_pool(lat: ms.ScaleLattice, k_eps: int):
+    """Split one lattice at index ``k_eps``: (points, masses) above, one mass
+    per index, and the exact (mean, cov) compensation moments of the part
+    below, summed from ``k_eps - 1`` down to where 1e-17 of sigma^2 is left."""
     d = lat.dim
-    logb = math.log(lat.base)
-    k_eps = int(math.ceil((math.log(eps) - math.log(lat.anchor)) / logb - 1e-12))
-    radii, masses = [], []
-    mean = np.zeros(d)
-    cov = np.zeros((d, d))
-    sigma2 = 0.0
+    budget = 1e-17 * abs(_small_jump_variance(lat, k_eps))
+    up_ks, up_masses = [], []
+    acc = np.zeros((1, 1 + d + d * d))  # running sigma^2, mean and cov
     xi = lat.direction
     for seg in lat.segments:
         if seg.power:
             raise UnsupportedComponentError(
                 "power-law lattice segments are not samplable")
         ks = _segment_upper_points(seg, lat, k_eps)
-        if ks.size:
-            radii.append(lat.radius(ks))
-            masses.append(seg.mass(ks))
-        # below eps: enumerate down; terms m(k) r_k^2 decay geometrically
-        k = min(k_eps - 1, int(seg.kmax)) if seg.kmax != ms.POS_INF else k_eps - 1
-        k_stop = int(seg.kmin) if seg.kmin != ms.NEG_INF else None
-        steps = 0
-        while k_stop is None or k >= k_stop:
-            r = float(lat.radius(k))
-            m = float(seg.mass(np.array([k]))[0])
-            term2 = m * r * r
-            sigma2 += term2
-            mean += (m * r * r * r / (1.0 + r * r)) * xi
-            cov += term2 * np.outer(xi, xi)
-            if k_stop is None and term2 < 1e-16 * max(sigma2, 1e-300):
-                break
-            k -= 1
-            steps += 1
-            if steps > ms._ENUM_CAP:
-                raise ToleranceError("small-jump enumeration cap exceeded")
-    if radii:
-        r_all = np.concatenate(radii)
-        m_all = np.concatenate(masses)
-        pts = r_all[:, None] * xi[None, :]
-    else:
-        pts = np.zeros((0, d))
-        m_all = np.zeros(0)
-    return pts, m_all, mean, cov, sigma2
+        up_ks.append(ks)
+        up_masses.append(seg.mass(ks))
+        top = int(min(k_eps - 1, seg.kmax))
+        if top < seg.kmin or budget == 0.0:
+            continue
+        klo, _ = ms._lower_end(lat, seg, 1.0, 2, budget)
+        ks = np.arange(top, klo - 1, -1, dtype=float)
+        r, m = lat.radius(ks), seg.mass(ks)
+        term2 = m * r * r
+        rows = np.column_stack([term2, (m * r * r * r / (1.0 + r * r))[:, None]
+                                * xi, term2[:, None] * np.outer(xi, xi).ravel()])
+        # running sums in index order, as one loop over k would add them
+        acc = np.cumsum(np.concatenate([acc[-1:], rows]), axis=0)
+    idx, where = np.unique(np.concatenate([np.zeros(0, dtype=int)] + up_ks),
+                           return_inverse=True)
+    masses = np.maximum(np.bincount(
+        where, weights=np.concatenate([np.zeros(0)] + up_masses),
+        minlength=idx.size), 0.0)
+    pts = lat.radius(idx)[:, None] * xi[None, :]
+    sigma2, mean, cov = acc[-1, 0], acc[-1, 1:d + 1], acc[-1, d + 1:]
+    return pts, masses, mean, cov.reshape(d, d), float(sigma2)
 
 
-def _choose_epsilon(lat: ms.ScaleLattice) -> float:
-    """Largest lattice radius below 1 whose removed small-jump variance
-    dominates the cutoff, sigma(eps)^2 >= COMPENSATION_FACTOR * eps^2."""
+def _choose_epsilon(lat: ms.ScaleLattice) -> int:
+    """Index of the largest lattice radius eps below 1 whose removed
+    small-jump variance dominates it, sigma(eps)^2 >= COMPENSATION_FACTOR
+    * eps^2, or that is below EPS_FLOOR."""
     k0 = int(math.floor(-math.log(lat.anchor) / math.log(lat.base)))
     for k in range(k0, k0 - 2000, -1):
         eps = float(lat.radius(k))
-        if eps < EPS_FLOOR:
-            return eps
-        *_, sigma2 = _lattice_jump_pool(lat, eps)
-        if sigma2 >= COMPENSATION_FACTOR * eps * eps:
-            return eps
-    return float(lat.radius(k0 - 2000))
+        if eps < EPS_FLOOR or \
+                _small_jump_variance(lat, k) >= COMPENSATION_FACTOR * eps * eps:
+            return k
+    return k0 - 2000
 
 
 def _jump_pools(levy: ms.LevyMeasure, d: int):
@@ -141,26 +145,19 @@ def _jump_pools(levy: ms.LevyMeasure, d: int):
             mass_list.append(comp.weights)
         else:
             infinite_small = any(s.kmin == ms.NEG_INF for s in comp.segments)
-            eps = _choose_epsilon(comp) if infinite_small else 0.0
+            k_eps = _choose_epsilon(comp) if infinite_small else \
+                min(int(s.kmin) for s in comp.segments)
+            pts, m, mu_c, cov_c, sigma2 = _lattice_jump_pool(comp, k_eps)
+            mean += mu_c
+            cov += cov_c
             if infinite_small:
-                pts, m, mu_c, cov_c, sigma2 = _lattice_jump_pool(comp, eps)
-                mean += mu_c
-                cov += cov_c
-                meta = {"scheme": "gaussian_compensation",
-                        "epsilon": eps,
-                        "compensation_ratio": math.sqrt(sigma2) / eps if eps else None}
-            else:
-                k_lo = min(int(s.kmin) for s in comp.segments)
-                pts, m, *_ = _lattice_jump_pool(comp, float(comp.radius(k_lo)))
+                eps = float(comp.radius(k_eps))
+                meta = {"scheme": "gaussian_compensation", "epsilon": eps,
+                        "compensation_ratio": math.sqrt(sigma2) / eps}
             pts_list.append(pts)
             mass_list.append(m)
-    if pts_list:
-        points = np.concatenate(pts_list, axis=0)
-        masses = np.concatenate(mass_list)
-    else:
-        points = np.zeros((0, d))
-        masses = np.zeros(0)
-    return points, masses, mean, cov, meta
+    points = np.concatenate([np.zeros((0, d))] + pts_list, axis=0)
+    return points, np.concatenate([np.zeros(0)] + mass_list), mean, cov, meta
 
 
 def _gaussian_factor(A: np.ndarray) -> np.ndarray:

@@ -272,9 +272,8 @@ def measure_cumulant(levy: ms.LevyMeasure, zgrid: np.ndarray, tol=1e-12,
                                       arg_pow=arg_pow, zbase=zbase)
 
     vals, err = ms.sum_over_measure(
-        levy, f,
-        small_c=zmax * zmax / 2.0 + zmax, small_p=2,
-        large_bound=lambda R: 2.0 + zmax / 2.0,
+        levy, f, envelope=ms.Envelope(zmax * zmax / 2.0 + zmax, 2,
+                                      (2.0 + zmax / 2.0,)),
         tol=tol, out_shape=(m,), dtype=complex)
     return vals, err
 
@@ -328,8 +327,8 @@ def scale(triplet: LevyTriplet, s: float) -> LevyTriplet:
         c_small = s * abs(1.0 - s * s)
         shift, _ = ms.sum_over_measure(
             triplet.levy, shift_integrand,
-            small_c=max(c_small, 1e-30), small_p=3,
-            large_bound=lambda R: (s + 1.0 / s) / R,
+            envelope=ms.Envelope(max(c_small, 1e-30), 3, (s + 1.0 / s,),
+                                 decay=1),
             tol=1e-12, out_shape=(triplet.dim,), dtype=float)
     return LevyTriplet(s * s * triplet.gauss, ms.LevyMeasure(tuple(comps)),
                        s * triplet.drift + shift)

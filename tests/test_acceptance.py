@@ -175,7 +175,7 @@ def test_criterion_09_domain_boundaries(tmp_path):
 # sha256 of the seed-42 verify summary without its manifest: it pins every
 # ECF gap and confidence radius the suites report
 VERIFY_ALL_42_SHA = \
-    "44c7f741e1dc9f560a36e6151ad73a3b8b03bed66b0b0abfdb888663dac2fdf9"
+    "b2801bd12742390b43f0e1fc11438acb84b095a8ddff04c229f572b31ce15a51"
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -9,6 +9,7 @@ from semiself import cli
 from semiself import mapping as mp
 from semiself import measures as ms
 from semiself import nested
+from semiself import sampling as sp
 from semiself import specio
 from semiself import triplets as tp
 
@@ -267,16 +268,17 @@ def test_simulate_golden_bytes(tmp_path, name):
 
 # sha256 of cumulant.csv after its manifest line and of report.json without
 # its manifest field, for power-tail maps whose lattice phases run through
-# the exact reduction
+# the exact reduction; both windows end at radius e^700 (index 1009), and
+# err_bound holds the closed-form remainder past it
 MAP_GOLDEN = {
     "edge-m0": (
         EDGE, ["--m", "0", "--grid", "2:3", "--tol", "1e-4"],
-        "819b9c2ff8cec5a523fe6a9449692bebc176622745df9e4ecde535ac50c9d38d",
-        "101a633e288e0c02b35841fb541aa187eab27d4fae51c71ec6e4df37a1683926"),
+        "c79415c35c84be40b0adce99cfa023f1006c892de01cf53e5fa53da4746ccbd5",
+        "2b37b7d27dbe4bab288462f6c57d5c5f530257f2de07c9e04a97fb03a229466a"),
     "edge4-m1": (
         EDGE4, ["--m", "1", "--grid", "2:3", "--tol", "1e-4"],
-        "9763aac1ff94a5ac2c7fd77ad00da5f5e314c51f17c1a6e92f2beaaecc7be9e6",
-        "c1e1654657ce9616bad35694e05154ce067821f16bae7399ed3db7d401a2f522"),
+        "f5fef5615c2234439f47b76984f10bb3a3c8ac1c3cc355241bb21b88d970c9b4",
+        "3b2783ddfd50529dd2ef58c9be8bd19ecc87d1016c7b3912d42f817be167af28"),
 }
 
 
@@ -296,8 +298,8 @@ def test_map_golden_bytes(tmp_path, name):
 
 def test_edge_map_work_guards(tmp_path, monkeypatch):
     # the EDGE lattice lies above radius 1, so the sum by phase index
-    # evaluates no (point, term) cell, and the window scans read masses a
-    # block of indices at a time
+    # evaluates no (point, term) cell, and window ends come from closed-form
+    # tails, so masses are read once per window
     cells, mass_calls = [], []
     integrand, mass = tp.centered_exp_integrand, ms.Segment.mass
 
@@ -414,6 +416,80 @@ def test_semistable_degenerate_law_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("domain error: degenerate law") and \
         err.count("\n") == 1
+
+
+def _lattice_spec(*segments):
+    return {"schema": 1, "levy": [{"kind": "lattice", "direction": [1.0],
+                                   "base": 2.0, "anchor": 1.0,
+                                   "segments": [dict(s, kmax="inf")
+                                                for s in segments]}]}
+
+
+# m(k) = 2^-k - 0.5 4^-k on k >= 0: nonnegative, with a negative segment
+SIGNED = _lattice_spec({"w": 1.0, "r": 0.5, "kmin": 0},
+                       {"w": -0.5, "r": 0.25, "kmin": 0})
+# m(k) = 0.97^k (1.01^k - 1.01^300)(1.01^k - 1.01^600): zero at k = 300
+# and 600, negative between, positive as k -> inf
+THREE = _lattice_spec({"w": 1.01 ** 900, "r": 0.97, "kmin": 0},
+                      {"w": -(1.01 ** 300 + 1.01 ** 600), "r": 0.97 * 1.01,
+                       "kmin": 0},
+                      {"w": 1.0, "r": 0.97 * 1.01 ** 2, "kmin": 0})
+# m(k) = k^-3 - 0.001 k^-2: negative for every k > 1000
+POWER_PAIR = _lattice_spec({"w": 1.0, "r": 1.0, "kmin": 1, "power": 3},
+                           {"w": -0.001, "r": 1.0, "kmin": 1, "power": 2})
+
+
+def test_signed_lattice_maps_and_samples(tmp_path, capsys):
+    spec = write_spec(tmp_path, "signed.json", SIGNED)
+    assert cli.main(["map", spec, "--b", "2", "--grid", "2:3",
+                     "--out", str(tmp_path / "map")]) == 0
+    assert cli.main(["simulate", spec, "--b", "2", "--steps", "3",
+                     "--paths", "20", "--out", str(tmp_path / "sim")]) == 0
+    # the factor nu - nu(2 .) has mass -m(0) at index -1, below the lattice
+    cert = str(tmp_path / "cert.json")
+    assert cli.main(["check", spec, "--b", "2", "--out", cert]) == 1
+    assert json.load(open(cert))["violations"] == [[[1.0], -1]]
+
+
+@pytest.mark.parametrize("spec_obj,index", [(THREE, 301), (POWER_PAIR, None)],
+                         ids=["three-segments", "power-pair"])
+def test_negative_lattice_far_from_boundaries_exit_2(tmp_path, capsys,
+                                                    spec_obj, index):
+    # the negative masses lie hundreds of indices past every finite segment
+    # boundary; the sign rule checks up to where the dominant term wins
+    spec = write_spec(tmp_path, "neg.json", spec_obj)
+    assert cli.main(["check", spec, "--b", "2",
+                     "--out", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: negative lattice mass at index ")
+    witness = int(err.split()[-1])
+    assert witness == index if index is not None else witness > 1000
+
+
+def test_wide_grid_map_ends_cleanly(tmp_path, capsys):
+    # phases at |z| = 1e5 against radii up to e^700
+    spec = write_spec(tmp_path, "edge.json", EDGE)
+    code = cli.main(["map", spec, "--b", "2", "--grid", "100000:3",
+                     "--tol", "1e-4", "--out", str(tmp_path / "map")])
+    err = capsys.readouterr().err
+    assert code == 0 or (code == 4 and err.count("\n") == 1)
+    assert "Traceback" not in err
+
+
+def test_sampler_build_reads_masses_once_per_window(monkeypatch):
+    # epsilon comes from closed-form variances, and the pool and the
+    # compensation moments each read one block of masses
+    mass_calls = []
+    mass = ms.Segment.mass
+
+    def counted_mass(self, k):
+        mass_calls.append(1)
+        return mass(self, k)
+
+    monkeypatch.setattr(ms.Segment, "mass", counted_mass)
+    sampler = sp.Sampler(specio.triplet_from_dict(FULL_LATTICE))
+    sampler.draw(10, seed=0)
+    assert len(mass_calls) <= 4
 
 
 def test_map_refuses_non_finite_cumulants(tmp_path, capsys):

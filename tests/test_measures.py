@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from semiself import mapping as mp
 from semiself import measures as ms
 from semiself import triplets as tp
 from semiself.errors import DomainError, InvalidTripletError, ToleranceError
@@ -123,12 +124,16 @@ def test_require_log_moment_sums_nothing(monkeypatch, case):
 
 
 def test_require_log_moment_accepts_beyond_the_summing_cap():
-    # valid, and r < 1 makes every log-moment finite, but the ratio is so
-    # close to 1 that summing the log-moment exceeds its cap
+    # valid, and r < 1 makes every log-moment finite; the ratio is so close
+    # to 1 that the head runs to some 3.8e6 indices before the closed-form
+    # tail is negligible: sum_k w r^k k^-2 k log 2 = -w log 2 log(1 - r)
+    mpmath = pytest.importorskip("mpmath")
     levy = _lattice(ms.Segment(w=1e-8, r=0.99999, kmin=1, power=2))
     assert tp.validate(tp.LevyTriplet(np.zeros((1, 1)), levy, [0.0])) == ()
-    with pytest.raises(ToleranceError, match="summation cap"):
-        ms.log_moment(levy, 1)
+    with mpmath.workdps(30):
+        want = float(mpmath.mpf(1e-8) * mpmath.log(2)
+                     * -mpmath.log(1 - mpmath.mpf(0.99999)))
+    assert ms.log_moment(levy, 1) == pytest.approx(want, rel=1e-12)
     ms.require_log_moment(levy, 1)
 
 
@@ -229,23 +234,22 @@ def test_sum_over_measure_matches_direct_atoms():
     def f(pts, lattice=None):
         return np.sum(pts, axis=1)
 
-    v, err = ms.sum_over_measure(levy, f, small_c=1.0, small_p=2,
-                                 large_bound=lambda R: R, tol=1e-12,
-                                 out_shape=(), dtype=float)
+    v, err = ms.sum_over_measure(levy, f, envelope=ms.Envelope(1.0, 2, (1.0,)),
+                                 tol=1e-12, out_shape=(), dtype=float)
     assert v == pytest.approx(0.5 * 1.0 + 0.25 * 2.0)
     assert err <= 1e-12
 
 
-def _window_or_error(lat, seg, envelope):
+def _window_or_error(lat, seg, envelope, tol):
     try:
-        return ms._segment_window(lat, seg, *envelope)
+        return ms._segment_window(lat, seg, envelope, tol)
     except ToleranceError as exc:
         return str(exc)
 
 
-# segments whose window scans its upper end: power tails up to radius e^700,
+# segments whose window ends past radius 1: power tails up to radius e^700,
 # geometric ones from a finite and from an infinite lowest index, and a
-# negative one, which no ratio rule ends
+# negative one
 WINDOW_CASES = {
     "power3": (2.0, 1.0, ms.Segment(w=1.0, r=1.0, kmin=1, power=3)),
     "power4": (2.0, 1.0, ms.Segment(w=1.1, r=1.0, kmin=1, power=4)),
@@ -253,29 +257,63 @@ WINDOW_CASES = {
     "kmin-inf": (2.0, 1.3, ms.Segment(w=0.8, r=0.6)),
     "signed": (2.0, 1.0, ms.Segment(w=-0.2, r=0.5, kmin=3)),
 }
-# (small_c, small_p, large_bound, tol) of square_one_integral, of
-# measure_cumulant at |z| <= 5 and of a growing forward-series envelope
+# (envelope, tol) of square_one_integral, of measure_cumulant at |z| <= 5,
+# of an envelope growing like log R, and of the --m 1 forward series at
+# |z| <= 2 with --tol 1e-4
 WINDOW_ENVELOPES = {
-    "square-one": (1.0, 2, lambda R: 1.0, 1e-10),
-    "cumulant": (17.5, 2, lambda R: 4.5, 1e-12),
-    "growing": (4.0, 2, lambda R: 9.0 * max(math.log(max(R, 1.0)), 1.0),
-                1e-6),
+    "square-one": (ms.Envelope(1.0, 2, (1.0,)), 1e-10),
+    "cumulant": (ms.Envelope(17.5, 2, (4.5,)), 1e-12),
+    "growing": (ms.Envelope(4.0, 2, (9.0, 9.0)), 1e-6),
+    "series-m1": (mp._series_envelope(2.0, 1, 1.0, 2.0), 5e-5),
 }
+# (klo, khi) of each window at the parent commit, whose upper end was a
+# ratio scan; "growing" then was 9 max(log R, 1), and "signed" raised
+PARENT_WINDOWS = {
+    ("geometric", "cumulant"): (-3, 220), ("geometric", "growing"): (-3, 162),
+    ("geometric", "square-one"): (-3, 178), ("geometric", "series-m1"): (-3, 172),
+    ("kmin-inf", "cumulant"): (-38, 64), ("kmin-inf", "growing"): (-20, 45),
+    ("kmin-inf", "square-one"): (-29, 52), ("kmin-inf", "series-m1"): (-17, 46),
+    ("power3", "cumulant"): (1, 1009), ("power3", "growing"): (1, 1009),
+    ("power3", "square-one"): (1, 1009),
+    ("power4", "cumulant"): (1, 1009), ("power4", "growing"): (1, 1009),
+    ("power4", "square-one"): (1, 1009), ("power4", "series-m1"): (1, 1009),
+}
+
+
+def _log_terms(lat, seg, env, ks):
+    """log of |m(k)| env(R_k) at the float indices ``ks``, radii kept as
+    logs so that indices past radius e^700 stay finite."""
+    L = math.log(lat.anchor) + ks * math.log(lat.base)
+    log_m = math.log(abs(seg.w)) + ks * math.log(seg.r) \
+        - seg.power * np.log(np.maximum(ks, 1.0))
+    poly = sum(c * np.maximum(L, 0.0) ** i for i, c in enumerate(env.poly))
+    with np.errstate(divide="ignore"):
+        inner = math.log(env.small_c) + env.small_p * L
+    return log_m + np.where(L < 0.0, inner, np.log(poly) - env.decay * L)
 
 
 @pytest.mark.parametrize("envelope", sorted(WINDOW_ENVELOPES))
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
-def test_block_window_scan_matches_scalar_scan(monkeypatch, case, envelope):
-    # one index per block is the scalar scan; blocks of 7 end inside every
-    # run; the window and its tail bound must not see the block size
+def test_block_window_scan_matches_scalar_scan(case, envelope):
+    # the window [klo, khi] that the closed-form tails pick, against a
+    # scalar scan of the dropped indices (the next 10^6 above the window,
+    # and every one below it): its tail is at least their sum of
+    # |m(k)| env, and no window is shorter than at the parent commit
     base, anchor, seg = WINDOW_CASES[case]
     lat = ms.ScaleLattice([1.0], base, (seg,), anchor)
-    env = WINDOW_ENVELOPES[envelope]
-    blocked = _window_or_error(lat, seg, env)
-    for size in (1, 7):
-        monkeypatch.setattr(ms, "_SCAN_BLOCK", size)
-        assert _window_or_error(lat, seg, env) == blocked
-    if case == "signed":
-        assert blocked == "lattice tail bound did not converge"
-    else:
-        assert isinstance(blocked, tuple)
+    env, tol = WINDOW_ENVELOPES[envelope]
+    window = _window_or_error(lat, seg, env, tol)
+    if case == "power3" and envelope == "series-m1":
+        # k^-3 (log R)^2 is not summable, so no bound exists
+        assert window == "lattice tail bound did not converge"
+        return
+    klo, khi, tail_bound = window
+    if (case, envelope) in PARENT_WINDOWS:
+        lo, hi = PARENT_WINDOWS[case, envelope]
+        assert klo <= lo and khi >= hi
+    above = np.arange(khi + 1, khi + 1 + 10 ** 6, dtype=float)
+    dropped = math.fsum(np.exp(_log_terms(lat, seg, env, above)).tolist())
+    if seg.kmin == ms.NEG_INF:
+        below = np.arange(klo - 2000, klo, dtype=float)
+        dropped += math.fsum(np.exp(_log_terms(lat, seg, env, below)).tolist())
+    assert tail_bound >= dropped > 0.0
