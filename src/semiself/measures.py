@@ -565,9 +565,15 @@ def segments_nonnegative(segments: Sequence[Segment]):
         raise ToleranceError("lattice sign check exceeds the enumeration cap")
     ks = np.arange(lo, hi + 1, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = sum((s.mass(ks) for s in segments), np.zeros_like(ks))
-    scale = max(float(np.max(np.abs(m))), 1e-300)
-    bad = np.nonzero(m < -1e-10 * scale)[0]
+        parts = [s.mass(ks) for s in segments]
+        m = sum(parts, np.zeros_like(ks))
+        # m(k) is known to a few half-ulps of the terms' moduli: |k| + 1 from
+        # w and r, themselves rounded, 2 |k log r| + 5 from evaluating each
+        # term and n - 1 from their sum; a mass within them counts as zero
+        slack = sum(np.abs(part) * (np.abs(ks) + 2.0 * np.abs(ks * math.log(s.r))
+                                    + len(parts) + 5.0)
+                    for part, s in zip(parts, segments))
+    bad = np.nonzero(m < -2.0 ** -53 * slack)[0]
     if bad.size:
         return False, int(ks[bad[0]])
     for side, W in sides:

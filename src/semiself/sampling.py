@@ -232,10 +232,20 @@ def conf_radius(n: int) -> float:
     return 3.0 / math.sqrt(n)
 
 
+def expi(u: np.ndarray) -> np.ndarray:
+    """``exp(1j * u)`` of real phases, bit for bit: ``cos u`` and ``sin u``
+    written into the real and imaginary parts of one complex buffer."""
+    out = np.empty(np.shape(u), dtype=complex)
+    np.cos(u, out=out.real)
+    np.sin(u, out=out.imag)
+    np.add(out.imag, 0.0, out=out.imag)  # exp(1j * -0.0) is 1 + 0j, not 1 - 0j
+    return out
+
+
 def ecf(values: np.ndarray, grid) -> EmpiricalCF:
     """Empirical characteristic function of the ``(n, d)`` draws ``values``
     on a grid, with the radius ``conf_radius(n)``."""
     zgrid = tp._as_grid(grid, values.shape[1])
-    vals = np.mean(np.exp(1j * (values @ zgrid.T)), axis=0)
+    vals = np.mean(expi(values @ zgrid.T), axis=0)
     return EmpiricalCF(grid=zgrid, values=vals,
                        conf_radius=conf_radius(values.shape[0]))

@@ -295,9 +295,9 @@ def cumulant(triplet: LevyTriplet, z, tol=1e-12, arg_pow=None) -> CumulantGrid:
                         err_bound=np.full(zgrid.shape[0], err))
 
 
-def cumulant_at(triplet: LevyTriplet, z, tol=1e-12, arg_pow=None) -> complex:
+def cumulant_at(triplet: LevyTriplet, z, arg_pow=None) -> complex:
     """Cumulant at a single argument."""
-    return complex(cumulant(triplet, np.atleast_1d(z), tol=tol,
+    return complex(cumulant(triplet, np.atleast_1d(z),
                             arg_pow=arg_pow).values[0])
 
 

@@ -434,7 +434,7 @@ THREE = _lattice_spec({"w": 1.01 ** 900, "r": 0.97, "kmin": 0},
                       {"w": -(1.01 ** 300 + 1.01 ** 600), "r": 0.97 * 1.01,
                        "kmin": 0},
                       {"w": 1.0, "r": 0.97 * 1.01 ** 2, "kmin": 0})
-# m(k) = k^-3 - 0.001 k^-2: negative for every k > 1000
+# m(k) = k^-3 - 0.001 k^-2: zero at k = 1000, negative for every k > 1000
 POWER_PAIR = _lattice_spec({"w": 1.0, "r": 1.0, "kmin": 1, "power": 3},
                            {"w": -0.001, "r": 1.0, "kmin": 1, "power": 2})
 
@@ -451,7 +451,7 @@ def test_signed_lattice_maps_and_samples(tmp_path, capsys):
     assert json.load(open(cert))["violations"] == [[[1.0], -1]]
 
 
-@pytest.mark.parametrize("spec_obj,index", [(THREE, 301), (POWER_PAIR, None)],
+@pytest.mark.parametrize("spec_obj,index", [(THREE, 301), (POWER_PAIR, 1001)],
                          ids=["three-segments", "power-pair"])
 def test_negative_lattice_far_from_boundaries_exit_2(tmp_path, capsys,
                                                     spec_obj, index):
@@ -462,8 +462,7 @@ def test_negative_lattice_far_from_boundaries_exit_2(tmp_path, capsys,
                      "--out", str(tmp_path / "c.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: negative lattice mass at index ")
-    witness = int(err.split()[-1])
-    assert witness == index if index is not None else witness > 1000
+    assert int(err.split()[-1]) == index
 
 
 def test_wide_grid_map_ends_cleanly(tmp_path, capsys):

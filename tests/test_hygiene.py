@@ -5,6 +5,7 @@ import fnmatch
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -84,10 +85,45 @@ def test_module_level_imports_are_detected():
     assert module_level_imports(src) == {"scipy", "numpy", "json"}
 
 
+def imported_packages(source: str) -> set:
+    """Top-level names of the packages a module imports outside the
+    standard library, function bodies included."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__"}
+
+
+def declared_dependencies() -> set:
+    """The package names of ``[project] dependencies`` in pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")
+    deps = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"][
+        "dependencies"]
+    return {re.match(r"[A-Za-z0-9_.-]+", d).group(0) for d in deps}
+
+
+def test_imported_packages_are_detected():
+    src = ("from __future__ import annotations\nimport os, numpy.linalg\n"
+           "from . import ou\ndef f():\n    from scipy import integrate\n")
+    assert imported_packages(src) == {"numpy", "scipy"}
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_level_scipy_import(path):
-    # scipy costs most of the start-up; only the commands that need it load it
-    assert "scipy" not in module_level_imports(path.read_text())
+    # loading a module loads nothing beyond the declared dependencies
+    assert module_level_imports(path.read_text()) - set(
+        sys.stdlib_module_names) <= declared_dependencies()
+
+
+def test_imports_are_the_declared_dependencies():
+    # every third-party import, in function bodies too, is declared, and
+    # every declared dependency is imported: numpy and nothing else
+    used = set().union(*(imported_packages(p.read_text())
+                         for p in SRC.glob("*.py")))
+    assert used == declared_dependencies() == {"numpy"}
 
 
 def relative_imports(source: str, modules) -> set:
@@ -285,7 +321,13 @@ SCIPY_FREE = {
         "[{'w': 1.0, 'r': 1.0, 'kmin': 1, 'kmax': 'inf', 'power': 3}]}]}, "
         "open(spec, 'w'))\n"
         "assert cli.main(['map', spec, '--b', '2', '--grid', '2:3', "
-        "'--tol', '1e-4', '--out', os.path.join(d, 'out')]) == 0\n")}
+        "'--tol', '1e-4', '--out', os.path.join(d, 'out')]) == 0\n"),
+    "verify-all": (
+        "import os, tempfile\n"
+        "from semiself import cli\n"
+        "out = os.path.join(tempfile.mkdtemp(), 'summary.json')\n"
+        "assert cli.main(['verify', '--suite', 'all', '--seed', '42', "
+        "'--out', out]) == 0\n")}
 
 
 @pytest.mark.parametrize("name", SCIPY_FREE)

@@ -221,6 +221,16 @@ def test_segments_nonnegative_witness():
     assert not ok and witness == 1
 
 
+def test_segments_nonnegative_sees_small_negative_masses():
+    # m(40) = 2^-40 - 2 * 2^-40 is negative, yet 1e-12 of the largest mass
+    segs = [ms.Segment(w=1.0, r=0.5, kmin=0),
+            ms.Segment(w=-2.0, r=0.5, kmin=40, kmax=40)]
+    assert ms.segments_nonnegative(segs) == (False, 40)
+    # an exact cancellation stays a zero: m(40) = 0 here
+    segs[1] = ms.Segment(w=-1.0, r=0.5, kmin=40, kmax=40)
+    assert ms.segments_nonnegative(segs) == (True, None)
+
+
 def test_canonical_families_rejects_foreign_base():
     lat = ms.ScaleLattice([1.0], 3.0, (ms.Segment(w=1.0, r=0.5, kmin=0),))
     from semiself.errors import UnsupportedComponentError

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,47 @@ def test_langevin_identity_holds():
     bundle = ou.solve_path(tp.gaussian(1.0), CFG, np.zeros(1), epochs=200,
                            n_paths=50, seed=7)
     assert ou.verify_langevin(bundle) < 1e-10
+
+
+def _whole_array_residual(bundle):
+    """The balance residual in whole-bundle arrays, one formula."""
+    b, st = bundle.config.b, bundle.states
+    cum_dx = np.cumsum(bundle.increments, axis=1)
+    res = st[:, 1:, :] - st[:, :1, :] - cum_dx + (b - 1.0) * np.cumsum(
+        st[:, 1:, :], axis=1)
+    scale = max(float(np.max(np.abs(st))),
+                float(np.max(np.abs(cum_dx), initial=0.0)), 1.0)
+    return float(np.max(np.abs(res), initial=0.0)) / scale
+
+
+@pytest.mark.parametrize("n,K,d", [(1, 0, 1), (1, 5, 2), (2500, 37, 2),
+                                   (3000, 200, 1), (5, 1, 3)])
+def test_blockwise_residual_is_bit_equal(n, K, d):
+    # states off the recursion, so the residual is far from rounding level
+    rng = np.random.default_rng(n + K + d)
+    bundle = ou.PathBundle(ou.OUConfig(b=1.7, c=1.0),
+                           10.0 * rng.standard_normal((n, K + 1, d)),
+                           rng.standard_normal((n, K, d)), seed=0)
+    assert ou.verify_langevin(bundle) == _whole_array_residual(bundle)
+
+
+def test_blockwise_residual_of_solved_paths(cp1):
+    for n, epochs in ((1, 3), (2049, 12)):
+        bundle = ou.solve_path(cp1, CFG, np.full(1, 1.5), epochs=epochs,
+                               n_paths=n, seed=5)
+        assert ou.verify_langevin(bundle) == _whole_array_residual(bundle)
+
+
+def test_langevin_residual_allocates_one_block():
+    n, K = 20_000, 200
+    bundle = ou.PathBundle(CFG, np.ones((n, K + 1, 1)), np.ones((n, K, 1)), 0)
+    tracemalloc.start()
+    try:
+        ou.verify_langevin(bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20      # the whole-array formula takes ~128 MB
 
 
 def test_closed_form_matches_recursion(cp1):

@@ -101,3 +101,13 @@ def test_solve_path_builds_jump_pools_once(monkeypatch):
     ou.solve_path(mu, ou.OUConfig(b=2.0, c=1.0), np.zeros(1), epochs=12,
                   n_paths=50, seed=3)
     assert len(calls) == 1
+
+
+def test_expi_is_complex_exp_bit_for_bit():
+    rng = np.random.default_rng(8)
+    u = np.concatenate([rng.standard_normal(5000) * 10.0 ** rng.integers(
+        -12, 7, 5000), [0.0, -0.0, math.pi, 1e6, -3e5]]).reshape(5, -1, 1)
+    got, want = sp.expi(u), np.exp(1j * u)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.mean(got, axis=0).tobytes() == np.mean(want, axis=0).tobytes()
