@@ -145,52 +145,41 @@ def forward_cumulant(rho: tp.LevyTriplet, b: float, z, *, m: int = 0,
     jump = np.zeros(zgrid.shape[0], dtype=complex)
     err = 0.0
     if rho.levy.components:
-        phase_cache: dict = {}
-
-        def series_weights(points):
-            # 1-norm bound avoids squaring overflow at extreme lattice radii
-            xmax = float(np.max(np.sum(np.abs(points), axis=1))) \
-                if points.size else 0.0
-            return _series_weights(b, m, s, zmax, xmax, tol)
-
-        def point_series(points, lattice=None, weights=None):
-            if weights is None:
-                weights = series_weights(points)
-            acc = np.zeros((points.shape[0], zgrid.shape[0]), dtype=complex)
-            for j, wj in enumerate(weights):
-                zj = b ** (arg_pow - j) * zgrid
-                acc += wj * tp.centered_exp_integrand(
-                    zj, points, lattice, arg_pow=(b, arg_pow - j),
-                    zbase=zgrid, phase_cache=phase_cache)
-            return acc
-
         env = _series_envelope(b, m, s, zmax)
         for comp in rho.levy.components:
-            if isinstance(comp, ms.Atoms) or comp.base != b:
-                part, tail = ms.sum_over_measure(
-                    ms.LevyMeasure((comp,)), point_series, envelope=env,
-                    tol=tol / 2.0, out_shape=(zgrid.shape[0],), dtype=complex)
+            if isinstance(comp, ms.Atoms):
+                pts, masses, tail = comp.points, comp.weights, 0.0
+                regroup, lattice = np.zeros(masses.size, dtype=bool), None
             else:
-                # the terms of the per-point series, whose length the whole
-                # component sets; below radius 1 the two halves of the sum by
-                # phase index grow as k falls when r * b < 1 and would
-                # cancel, so those points keep the per-point series
                 r, masses, ks, tail = ms._enumerate_component(comp, env,
                                                               tol / 2.0)
-                part = np.zeros(zgrid.shape[0], dtype=complex)
-                if r.size:
-                    pts = r[:, None] * comp.direction[None, :]
-                    weights = series_weights(pts)
-                    inner = r < 1.0
-                    if not inner.all():
-                        part = part + _regrouped_series(
-                            zgrid, comp, ks[~inner], masses[~inner], weights,
-                            arg_pow)
-                    if inner.any():
-                        vals = point_series(pts[inner], (comp, ks[inner]),
-                                            weights)
-                        part = part + np.tensordot(masses[inner], vals,
-                                                   axes=(0, 0))
+                pts = r[:, None] * comp.direction[None, :]
+                # below radius 1 the two halves of the sum by phase index
+                # grow as k falls when r * b < 1 and would cancel, so those
+                # points keep the per-point series
+                regroup = (r >= 1.0) & (comp.base == b)
+                lattice = (comp, ks[~regroup])
+            part = np.zeros(zgrid.shape[0], dtype=complex)
+            if masses.size:
+                # the terms of the per-point series, whose length the whole
+                # component sets; the 1-norm bound avoids squaring overflow
+                # at extreme lattice radii
+                xmax = float(np.max(np.sum(np.abs(pts), axis=1)))
+                weights = _series_weights(b, m, s, zmax, xmax, tol)
+                if regroup.any():
+                    part = part + _regrouped_series(
+                        zgrid, comp, ks[regroup], masses[regroup], weights,
+                        arg_pow)
+                if not regroup.all():
+                    each = ~regroup
+                    acc = np.zeros((int(each.sum()), zgrid.shape[0]),
+                                   dtype=complex)
+                    for j, wj in enumerate(weights):
+                        acc += wj * tp.centered_exp_integrand(
+                            b ** (arg_pow - j) * zgrid, pts[each], lattice,
+                            arg_pow=(b, arg_pow - j), zbase=zgrid)
+                    part = part + np.tensordot(masses[each], acc,
+                                               axes=(0, 0))
             jump = jump + part
             err += tail
         err += tol / 4.0  # per-point series truncation

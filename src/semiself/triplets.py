@@ -166,24 +166,18 @@ _TWO_PI_STR = ("6.28318530717958647692528676655900576839433879875021164194988918
 
 
 def _reduced_phases(u: np.ndarray, zbase: np.ndarray, lattice,
-                    arg_pow=None, cache=None) -> np.ndarray:
+                    arg_pow=None) -> np.ndarray:
     """Replace entries of the phase matrix ``u[i, j] ~ <z_j, x_i>`` that are
-    too large for double precision with ``beta_j * scale * base**k_i mod 2 pi``
+    too large for double precision with ``beta_j * base**k_i mod 2 pi``
     computed in high-precision decimal arithmetic.
 
-    ``beta_j = anchor * <z_j, direction>`` is the exact decimal product of
-    the float inputs, formed once per grid column, and the context keeps
+    ``beta_j = anchor * <z_j, direction> * pbase**power`` is the decimal
+    product of the float inputs, formed once per grid column, where
+    ``arg_pow = (pbase, power)`` expresses an exact argument scale, so
+    pre-scaled grids never round the phase away.  The context keeps
     ``GUARD_DIGITS`` digits after the point of the largest phase; a phase
     that needs more digits than ``_TWO_PI_STR`` holds raises ToleranceError.
-    ``arg_pow = (pbase, power)`` expresses an exact argument scale
-    ``pbase**power``, so pre-scaled grids never round the phase away.  The
-    reduced phases go to one table per component, ``(e0, table)`` with
-    ``table[j, e - e0]`` and NaN for a pair not yet reduced, each distinct
-    pair reduced once.  When ``pbase`` is the lattice base, a phase depends on
-    the grid column ``j`` and the combined exponent ``e = k + power`` only,
-    so ``cache`` shares the table across the terms of a scaled series; a call
-    without a cache, or whose scale does not fold into the exponent, fills a
-    table of its own.
+    Each distinct ``(column, index)`` pair is reduced once per call.
     """
     import decimal
 
@@ -191,59 +185,39 @@ def _reduced_phases(u: np.ndarray, zbase: np.ndarray, lattice,
     rows, cols = np.nonzero(np.abs(u) > PHASE_SAFE)
     if rows.size == 0:
         return u
-    fold = arg_pow is not None and arg_pow[0] == comp.base
-    es = ks[rows] + int(arg_pow[1]) if fold else ks[rows]
+    ks = ks[rows]
     zdir = zbase @ comp.direction
     digits = math.log10(comp.anchor * float(np.max(np.abs(zdir[cols])))) \
-        + int(es.max()) * math.log10(comp.base)
-    if arg_pow is not None and not fold:
+        + int(ks.max()) * math.log10(comp.base)
+    if arg_pow is not None:
         digits += int(arg_pow[1]) * math.log10(arg_pow[0])
     prec = GUARD_DIGITS + max(int(digits) + 1, 0)
     if prec > len(_TWO_PI_STR) - 1:
         raise ToleranceError(f"a lattice phase of about 1e{int(digits)} "
                              "needs more digits of 2 pi than are held")
-    out = u.copy()
+    pairs = list(zip(cols.tolist(), ks.tolist()))
     with decimal.localcontext() as ctx:
         ctx.prec = prec
         D = decimal.Decimal
         two_pi = +D(_TWO_PI_STR)
         base = D(comp.base)
-        scale = (D(arg_pow[0]) ** int(arg_pow[1])
-                 if arg_pow is not None and not fold else D(1))
-        powers: dict = {}
-        betas: dict = {}
-
-        def phase(j, e):
-            pk = powers.get(e)
-            if pk is None:
-                pk = powers[e] = base ** e
-            beta = betas.get(j)
-            if beta is None:
-                beta = betas[j] = D(comp.anchor) * sum(
-                    D(float(zi)) * D(float(xi))
-                    for zi, xi in zip(zbase[j], comp.direction)) * scale
-            return float((beta * pk) % two_pi)
-
-        if cache is None or not fold:
-            cache = {}
-        e0, table = cache.get(id(comp), (int(es[0]), np.empty((u.shape[1], 0))))
-        lo = min(e0, int(es.min()))
-        hi = max(e0 + table.shape[1], int(es.max()) + 1)
-        if hi - lo > table.shape[1]:
-            grown = np.full((u.shape[1], hi - lo), np.nan)
-            grown[:, e0 - lo:e0 - lo + table.shape[1]] = table
-            e0, table = lo, grown
-            cache[id(comp)] = (e0, table)
-        miss = np.isnan(table[cols, es - e0])
-        for j, e in set(zip(cols[miss].tolist(), es[miss].tolist())):
-            table[j, e - e0] = phase(j, e)
-    out[rows, cols] = table[cols, es - e0]
+        scale = (D(arg_pow[0]) ** int(arg_pow[1]) if arg_pow is not None
+                 else D(1))
+        betas = {j: D(comp.anchor) * sum(
+            D(float(zi)) * D(float(xi))
+            for zi, xi in zip(zbase[j], comp.direction)) * scale
+            for j in set(cols.tolist())}
+        powers = {k: base ** k for k in set(ks.tolist())}
+        phases = {(j, k): float((betas[j] * powers[k]) % two_pi)
+                  for j, k in set(pairs)}
+    out = u.copy()
+    out[rows, cols] = [phases[p] for p in pairs]
     return out
 
 
 def centered_exp_integrand(zgrid: np.ndarray, points: np.ndarray,
                            lattice=None, arg_pow=None,
-                           zbase=None, phase_cache=None) -> np.ndarray:
+                           zbase=None) -> np.ndarray:
     """``g(z, x) = e^{i<z,x>} - 1 - i<z,x>/(1+|x|^2)`` as an (n_points, n_z) array.
 
     When the grid is a pre-scaled copy ``zgrid = pbase**power * zbase``, pass
@@ -255,7 +229,7 @@ def centered_exp_integrand(zgrid: np.ndarray, points: np.ndarray,
         u_osc = u
         if lattice is not None and np.any(np.abs(u) > PHASE_SAFE):
             u_osc = _reduced_phases(u, zbase if zbase is not None else zgrid,
-                                    lattice, arg_pow, cache=phase_cache)
+                                    lattice, arg_pow)
         return np.exp(1j * u_osc) - 1.0 - 1j * u / (1.0 + n2[:, None])
 
 
@@ -295,10 +269,9 @@ def cumulant(triplet: LevyTriplet, z, tol=1e-12, arg_pow=None) -> CumulantGrid:
                         err_bound=np.full(zgrid.shape[0], err))
 
 
-def cumulant_at(triplet: LevyTriplet, z, arg_pow=None) -> complex:
+def cumulant_at(triplet: LevyTriplet, z) -> complex:
     """Cumulant at a single argument."""
-    return complex(cumulant(triplet, np.atleast_1d(z),
-                            arg_pow=arg_pow).values[0])
+    return complex(cumulant(triplet, np.atleast_1d(z)).values[0])
 
 
 # ---------------------------------------------------------------------------

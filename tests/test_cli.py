@@ -267,10 +267,30 @@ def test_simulate_golden_bytes(tmp_path, name):
 
 
 # sha256 of cumulant.csv after its manifest line and of report.json without
-# its manifest field, for power-tail maps whose lattice phases run through
-# the exact reduction; both windows end at radius e^700 (index 1009), and
-# err_bound holds the closed-form remainder past it
+# its manifest field, for maps whose lattice phases run through the exact
+# reduction.  The two power-tail windows end at radius e^700 (index 1009),
+# and err_bound holds the closed-form remainder past it.  The geometric
+# lattice on the span has points on both sides of radius 1, so it takes the
+# sum by phase index and the per-point series; the base-3 lattice beside
+# atoms takes the per-point series under off-base argument scales
+BOTH_SIDES = {"schema": 1, "drift": [0.1],
+              "levy": [{"kind": "lattice", "direction": [1.0], "base": 2.0,
+                        "anchor": 1.3,
+                        "segments": [{"w": 0.8, "r": 0.47, "kmin": "-inf",
+                                      "kmax": "inf"}]}]}
+ATOMS_OFF_BASE = {"schema": 1, "levy": [
+    {"kind": "atoms", "points": [[1.3], [-0.6]], "weights": [0.9, 0.4]},
+    {"kind": "lattice", "direction": [1.0], "base": 3.0, "anchor": 0.7,
+     "segments": [{"w": 1.0, "r": 0.5, "kmin": 0, "kmax": "inf"}]}]}
 MAP_GOLDEN = {
+    "both-sides-m1": (
+        BOTH_SIDES, ["--m", "1", "--grid", "5:21"],
+        "f9d9d8c88b850eba0544fdf9ec65af9fb1a03025c3b536f7cf9e6278152abb54",
+        "1c47cbf88ec1f1a98cc1ea8a1c0eb1d6646bc8987c6439e23acc7ace92783b19"),
+    "atoms-off-base": (
+        ATOMS_OFF_BASE, ["--grid", "5:21"],
+        "5f1523819d67ec3f2572700ba67d0ebab266a61afc51a58920964e3921989100",
+        "286a44532e1701871201359a9f675f82ce07ecaf1934188d45fda71b8a6df91e"),
     "edge-m0": (
         EDGE, ["--m", "0", "--grid", "2:3", "--tol", "1e-4"],
         "c79415c35c84be40b0adce99cfa023f1006c892de01cf53e5fa53da4746ccbd5",
@@ -285,7 +305,7 @@ MAP_GOLDEN = {
 @pytest.mark.parametrize("name", sorted(MAP_GOLDEN))
 def test_map_golden_bytes(tmp_path, name):
     spec_obj, flags, csv_sha, report_sha = MAP_GOLDEN[name]
-    spec = write_spec(tmp_path, "edge.json", spec_obj)
+    spec = write_spec(tmp_path, "spec.json", spec_obj)
     out = str(tmp_path / "map")
     assert cli.main(["map", spec, "--b", "2", *flags, "--out", out]) == 0
     head, body = open(os.path.join(out, "cumulant.csv"), "rb").read() \

@@ -293,7 +293,6 @@ SET_ELSEWHERE = (
     "*(lattice)",                    # sum_over_measure calls f(points, lattice=)
     "suites.suite_*(seed)",          # called as SUITES[name](seed)
     "triplets.poisson_unit(rate)",   # public API that tests use
-    "triplets.cumulant_at(arg_pow)",
     # public API whose tests vary them; the package passes the default
     "sampling.sample(t)",
     "measures.log_moment(p)",

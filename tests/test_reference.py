@@ -102,3 +102,85 @@ def test_huge_phases_of_an_inexact_anchor():
             for z in zbase[:, 0]] for k in ks])
     miss = np.abs(np.angle(np.exp(1j * (got - ref))))
     assert float(np.max(miss)) <= 1e-12
+
+
+def _fmod_reference(mpmath, comp, ks, zbase, arg_pow=None):
+    """``anchor <z, direction> pbase**power base**k mod 2 pi`` in mpmath,
+    from the exact values of the float inputs, as a (len(ks), n_z) array."""
+    with mpmath.workdps(60 + int(max(ks) * np.log10(comp.base))):
+        scale = mpmath.mpf(1) if arg_pow is None else \
+            mpmath.mpf(arg_pow[0]) ** int(arg_pow[1])
+        zdirs = [mpmath.fsum(mpmath.mpf(float(zi)) * mpmath.mpf(float(xi))
+                             for zi, xi in zip(z, comp.direction))
+                 for z in zbase]
+        return np.array([[float(mpmath.fmod(
+            mpmath.mpf(comp.anchor) * zd * scale
+            * mpmath.mpf(comp.base) ** int(k), 2 * mpmath.pi))
+            for zd in zdirs] for k in ks])
+
+
+def _circle_miss(got, ref) -> float:
+    return float(np.max(np.abs(np.angle(np.exp(1j * (got - ref))))))
+
+
+@pytest.mark.parametrize("base,anchor,arg_pow,ks", [
+    (2.0, 1.0, (3.0, -2), np.arange(30, 400, 7)),
+    (1.485, 1.3, (2.0, -3), np.arange(40, 900, 13)),
+])
+def test_off_base_scales_reduce_exactly(base, anchor, arg_pow, ks):
+    # an argument scale on another base than the lattice's, and a base that
+    # is no dyadic rational, both sit inside the exact product
+    mpmath = pytest.importorskip("mpmath")
+    comp = ms.ScaleLattice([1.0], base, (ms.Segment(w=1.0, r=0.5, kmin=1),),
+                           anchor=anchor)
+    zbase = np.array([[0.7], [-1.3], [2.1]])
+    pts = comp.radius(ks)[:, None] * comp.direction[None, :]
+    u = pts @ (zbase * arg_pow[0] ** arg_pow[1]).T
+    huge = np.abs(u) > tp.PHASE_SAFE
+    assert huge.sum() > 100
+    got = tp._reduced_phases(u, zbase, (comp, ks), arg_pow)
+    ref = _fmod_reference(mpmath, comp, ks, zbase, arg_pow)
+    assert _circle_miss(got[huge], ref[huge]) <= 1e-12
+
+
+def test_repeated_index_of_two_segments_reduces_to_one_float():
+    # the windows of two overlapping segments list indices 50..79 twice;
+    # each copy of a (column, index) pair gets the same float, and that float
+    # is the exact reduction
+    mpmath = pytest.importorskip("mpmath")
+    comp = ms.ScaleLattice([1.0, 2.0], 2.0,
+                           (ms.Segment(w=1.0, r=0.5, kmin=30, kmax=79),
+                            ms.Segment(w=0.3, r=0.6, kmin=50)), anchor=1.3)
+    ks = np.concatenate([np.arange(30, 80), np.arange(50, 200)])
+    zbase = np.array([[0.7, -0.2], [-1.3, 0.9]])
+    u = (comp.radius(ks)[:, None] * comp.direction[None, :]) @ zbase.T
+    assert np.all(np.abs(u) > tp.PHASE_SAFE)
+    got = tp._reduced_phases(u, zbase, (comp, ks))
+    assert np.array_equal(got[20:50], got[50:80])
+    assert _circle_miss(got, _fmod_reference(mpmath, comp, ks, zbase)) \
+        <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the rounding of each e^{iu} - 1 times masses that grow as k falls is "
+    "in no err_bound (ROADMAP item 2)"))
+def test_cumulant_bound_holds_on_a_plain_2d_lattice():
+    # masses 0.5 * 2^-k for k <= 2 on direction (1, 2): each term's float
+    # rounding, about 1e-16, is multiplied by masses up to 2^200
+    mpmath = pytest.importorskip("mpmath")
+    comp = ms.ScaleLattice([1.0, 2.0], 2.0,
+                           (ms.Segment(w=0.5, r=0.5, kmax=2),))
+    mu = tp.LevyTriplet(np.zeros((2, 2)), ms.LevyMeasure((comp,)),
+                        np.zeros(2))
+    z = (1.1, -0.7)
+    got = tp.cumulant(mu, np.array([z]))
+    with mpmath.workdps(120):
+        xs = [mpmath.mpf(float(x)) for x in comp.direction]
+        zd = mpmath.fsum(mpmath.mpf(zi) * x for zi, x in zip(z, xs))
+        ref = mpmath.mpc(0)
+        for k in range(-200, 3):
+            r = mpmath.mpf(2) ** k
+            u = zd * r
+            ref += mpmath.mpf(0.5) * mpmath.mpf(2) ** -k * (
+                mpmath.expj(u) - 1 - 1j * u / (1 + r * r))
+    assert abs(got.values[0] - complex(ref)) <= got.err_bound[0]

@@ -69,7 +69,7 @@ def test_lattice_cumulant_matches_brute_force(lat1):
 def test_cumulant_arg_pow_matches_plain_scaling():
     mu = tp.compound_poisson([[1.0]], [1.0])
     direct = tp.cumulant_at(mu, 2.5 / 2.0)
-    scaled = tp.cumulant_at(mu, 2.5, arg_pow=(2.0, -1))
+    scaled = tp.cumulant(mu, 2.5, arg_pow=(2.0, -1)).values[0]
     assert scaled == pytest.approx(direct, abs=1e-14)
 
 
@@ -105,56 +105,12 @@ def _phase_case(power, lattice):
     return pts @ (zbase * 2.0 ** power).T, zbase
 
 
-def test_reduced_phases_table_is_bit_identical():
-    # a base-2 lattice under the exact argument scale 2**-3: the cached
-    # table must reproduce the uncached reduction bit for bit, also after a
-    # later call with lower exponents grows the table downward
-    comp = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=1.0, r=0.5, kmin=1),))
-    top = (comp, np.arange(40, 90))
-    u, zbase = _phase_case(-3, top)
-    ref = tp._reduced_phases(u, zbase, top, arg_pow=(2.0, -3))
-    assert np.any(ref != u)
-    cache = {}
-    assert np.array_equal(tp._reduced_phases(u, zbase, top, (2.0, -3), cache),
-                          ref)
-    e0, table = cache[id(comp)]
-    assert np.array_equal(tp._reduced_phases(u, zbase, top, (2.0, -3), cache),
-                          ref)
-    assert cache[id(comp)][1] is table
-    full = (comp, np.arange(10, 90))
-    u5, _ = _phase_case(-5, full)
-    lower = tp._reduced_phases(u5, zbase, full, (2.0, -5), cache)
-    assert cache[id(comp)][0] < e0
-    assert np.array_equal(lower, tp._reduced_phases(u5, zbase, full, (2.0, -5)))
-    assert np.array_equal(tp._reduced_phases(u, zbase, top, (2.0, -3), cache),
-                          ref)
-
-
 def test_reduced_phases_fold_without_cache_keeps_the_scale():
-    # folding 2**-3 into the exponent equals reducing the exactly pre-scaled
-    # grid without an argument scale
+    # the scale 2**-3 inside the exact product equals reducing the exactly
+    # pre-scaled grid without an argument scale
     comp = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=1.0, r=0.5, kmin=1),))
     lattice = (comp, np.arange(10, 90))
     u, zbase = _phase_case(-3, lattice)
-    folded = tp._reduced_phases(u, zbase, lattice, arg_pow=(2.0, -3))
+    scaled = tp._reduced_phases(u, zbase, lattice, arg_pow=(2.0, -3))
     plain = tp._reduced_phases(u, zbase * 2.0 ** -3, lattice)
-    assert np.array_equal(folded, plain)
-
-
-def test_reduced_phases_off_base_scales_never_share_a_table():
-    # under a base-3 scale the phases of a base-2 lattice depend on the
-    # scale itself, so calls that share a cache each fill a table of their
-    # own: both match their uncached call bit for bit, and the cache stays
-    # empty
-    comp = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=1.0, r=0.5, kmin=1),))
-    lattice = (comp, np.arange(30, 90))
-    zbase = np.array([[0.7], [1.3], [-2.1], [0.0]])
-    cache = {}
-    for arg_pow in ((3.0, -1), (3.0, -2)):
-        u = (comp.radius(lattice[1])[:, None] * comp.direction[None, :]) @ \
-            (zbase * 3.0 ** arg_pow[1]).T
-        got = tp._reduced_phases(u, zbase, lattice, arg_pow, cache)
-        assert np.any(got != u)
-        assert np.array_equal(got, tp._reduced_phases(u, zbase, lattice,
-                                                       arg_pow))
-    assert cache == {}
+    assert np.array_equal(scaled, plain)
