@@ -90,33 +90,6 @@ def _series_weights(b, m, arg_scale, zmax, xmax, tol) -> list:
             raise ToleranceError("forward series term cap exceeded")
 
 
-def _regrouped_series(zgrid, comp: ms.ScaleLattice, ks, masses, weights,
-                      arg_pow: int) -> np.ndarray:
-    """``sum_k m(k) sum_{t<J} w_t g(b^(arg_pow - t) z, x_k)`` over points of
-    a lattice on base ``b``, summed by the phase index ``n = k - t``:
-
-        sum_n (e^{i theta_n} - 1) M_n  -  i W sum_k m(k) <z, x_k>/(1 + |x_k|^2)
-
-    with ``M_n = sum_t w_t m(n + t)``, ``W = sum_t w_t b^(arg_pow - t)`` and
-    ``theta_n = anchor <z, direction> b^(n + arg_pow)``.  That is ``K + J``
-    phases per grid column instead of ``K J`` cells; the huge ones are
-    reduced exactly."""
-    b = comp.base
-    k0 = int(ks.min())
-    mk = np.bincount(ks - k0, weights=masses)
-    big_m = np.convolve(mk, np.asarray(weights)[::-1])
-    ns = np.arange(k0 - len(weights) + 1, k0 + mk.size)
-    zdir = zgrid @ comp.direction
-    radii = comp.radius(ks)
-    with np.errstate(over="ignore"):
-        theta = (comp.anchor * b ** (ns + arg_pow).astype(float))[:, None] \
-            * zdir[None, :]
-        centering = float(np.sum(masses * radii / (1.0 + radii * radii)))
-    theta = tp._reduced_phases(theta, zgrid, (comp, ns), arg_pow=(b, arg_pow))
-    big_w = sum(wt * b ** (arg_pow - t) for t, wt in enumerate(weights))
-    return big_m @ (np.exp(1j * theta) - 1.0) - 1j * big_w * centering * zdir
-
-
 def forward_cumulant(rho: tp.LevyTriplet, b: float, z, *, m: int = 0,
                      arg_pow: int = 0,
                      tol: float = DEFAULT_TOL) -> tp.CumulantGrid:
@@ -124,11 +97,9 @@ def forward_cumulant(rho: tp.LevyTriplet, b: float, z, *, m: int = 0,
 
         sum_{j>=0} C(j+m, m) * C_rho(b^{arg_pow - j} z)
 
-    Gaussian and drift parts are summed in closed form; the jump part is a
-    per-point series with analytic geometric tail bounds.  The argument scale
-    is tracked as an exact power of b so lattice phases stay accurate.  On a
-    lattice whose base is ``b``, the points at radius >= 1 sum the same
-    terms by phase index (``_regrouped_series``).
+    Gaussian and drift parts are summed in closed form; the jump part is
+    ``tp.jump_series`` over the weights ``_series_weights``, which stop at an
+    analytic geometric tail bound.
     """
     b = check_span(b)
     tp.require_valid(rho)
@@ -142,46 +113,12 @@ def forward_cumulant(rho: tp.LevyTriplet, b: float, z, *, m: int = 0,
     quad_part = -0.5 * s * s * gm2 * np.einsum("ij,jk,ik->i", zgrid, rho.gauss, zgrid)
     drift_part = 1j * s * gm1 * (zgrid @ rho.drift)
 
-    jump = np.zeros(zgrid.shape[0], dtype=complex)
-    err = 0.0
+    jump, err = np.zeros(zgrid.shape[0], dtype=complex), 0.0
     if rho.levy.components:
-        env = _series_envelope(b, m, s, zmax)
-        for comp in rho.levy.components:
-            if isinstance(comp, ms.Atoms):
-                pts, masses, tail = comp.points, comp.weights, 0.0
-                regroup, lattice = np.zeros(masses.size, dtype=bool), None
-            else:
-                r, masses, ks, tail = ms._enumerate_component(comp, env,
-                                                              tol / 2.0)
-                pts = r[:, None] * comp.direction[None, :]
-                # below radius 1 the two halves of the sum by phase index
-                # grow as k falls when r * b < 1 and would cancel, so those
-                # points keep the per-point series
-                regroup = (r >= 1.0) & (comp.base == b)
-                lattice = (comp, ks[~regroup])
-            part = np.zeros(zgrid.shape[0], dtype=complex)
-            if masses.size:
-                # the terms of the per-point series, whose length the whole
-                # component sets; the 1-norm bound avoids squaring overflow
-                # at extreme lattice radii
-                xmax = float(np.max(np.sum(np.abs(pts), axis=1)))
-                weights = _series_weights(b, m, s, zmax, xmax, tol)
-                if regroup.any():
-                    part = part + _regrouped_series(
-                        zgrid, comp, ks[regroup], masses[regroup], weights,
-                        arg_pow)
-                if not regroup.all():
-                    each = ~regroup
-                    acc = np.zeros((int(each.sum()), zgrid.shape[0]),
-                                   dtype=complex)
-                    for j, wj in enumerate(weights):
-                        acc += wj * tp.centered_exp_integrand(
-                            b ** (arg_pow - j) * zgrid, pts[each], lattice,
-                            arg_pow=(b, arg_pow - j), zbase=zgrid)
-                    part = part + np.tensordot(masses[each], acc,
-                                               axes=(0, 0))
-            jump = jump + part
-            err += tail
+        jump, err = tp.jump_series(
+            rho.levy, zgrid, b, arg_pow,
+            lambda xmax: _series_weights(b, m, s, zmax, xmax, tol),
+            _series_envelope(b, m, s, zmax), tol / 2.0)
         err += tol / 4.0  # per-point series truncation
 
     values = quad_part + drift_part + jump
@@ -252,7 +189,7 @@ def forward_triplet(rho: tp.LevyTriplet, b: float,
     gamma_out = rho.drift / (1.0 - 1.0 / b)
     if rho.levy.components:
 
-        def centering_series(points, lattice=None):
+        def centering_series(points):
             n2 = np.sum(points * points, axis=1)
             xmax = math.sqrt(float(np.max(n2))) if n2.size else 0.0
             acc = np.zeros_like(points)
@@ -318,7 +255,7 @@ def inverse_factor(mu: tp.LevyTriplet, b: float,
     gamma_rho = (1.0 - 1.0 / b) * mu.drift
     if mu.levy.components:
 
-        def pushforward_centering(points, lattice=None):
+        def pushforward_centering(points):
             n2 = np.sum(points * points, axis=1)
             scaled = points / b
             s2 = n2 / (b * b)

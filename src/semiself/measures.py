@@ -279,10 +279,9 @@ def sum_over_measure(levy: LevyMeasure, f, *, envelope: Envelope, tol,
                      out_shape=(), dtype=complex):
     """Evaluate ``integral f(x) nu(dx)`` with an error bound.
 
-    ``f(points, lattice=None)`` maps an ``(n, d)`` array to ``(n,) + out_shape``;
-    for lattice components it also receives ``lattice=(component, indices)``
-    so it can reduce huge oscillatory phases exactly.  ``envelope`` must
-    dominate ``|f|``.
+    ``f(points)`` maps an ``(n, d)`` array to ``(n,) + out_shape``, and
+    ``envelope`` must dominate ``|f|``.  Cumulants, whose phases need the
+    lattice indices, are summed by ``triplets.jump_series`` instead.
     """
     total = np.zeros(out_shape, dtype=dtype)
     err = 0.0
@@ -291,10 +290,9 @@ def sum_over_measure(levy: LevyMeasure, f, *, envelope: Envelope, tol,
             vals = f(comp.points)
             total = total + np.tensordot(comp.weights, vals, axes=(0, 0))
         else:
-            r, m, ks, tail_bound = _enumerate_component(comp, envelope, tol)
+            r, m, _, tail_bound = _enumerate_component(comp, envelope, tol)
             if r.size:
-                pts = r[:, None] * comp.direction[None, :]
-                vals = f(pts, lattice=(comp, ks))
+                vals = f(r[:, None] * comp.direction[None, :])
                 total = total + np.tensordot(m, vals, axes=(0, 0))
             err += tail_bound
     return total, err
@@ -331,7 +329,7 @@ def component_violations(comp) -> list:
 def square_one_integral(levy: LevyMeasure) -> float:
     """``integral (|x|^2 ^ 1) nu(dx)`` -- finite iff the measure is valid."""
 
-    def f(pts, lattice=None):
+    def f(pts):
         with np.errstate(over="ignore"):
             n2 = np.sum(pts * pts, axis=1)
         return np.minimum(n2, 1.0)

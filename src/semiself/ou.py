@@ -187,21 +187,29 @@ def transition_cumulant(noise: tp.LevyTriplet, cfg: OUConfig, s: float,
                         t: float, z, x=None) -> tp.CumulantGrid:
     """Cumulant of ``Z_t`` given ``Z_s = x``: the kernel is a deterministic
     contraction ``b^{-D} x`` plus D independent scaled kicks, D the number of
-    epochs in (s, t]."""
+    epochs in (s, t], whose cumulant ``(1/c) sum_{k<D} C_{X_1}(b^{-k-1} z)``
+    has its jump part as one series of D unit weights."""
     if t < s:
         raise ValueError("needs s <= t")
     delta = cfg.epoch(t) - cfg.epoch(s)
     if delta > 100_000:
         raise ToleranceError("transition window spans too many epochs")
+    b = cfg.b
     zgrid = tp._as_grid(z, noise.dim)
     x = np.zeros(noise.dim) if x is None else np.atleast_1d(np.asarray(x, float))
-    vals = 1j * cfg.b ** (-float(delta)) * (zgrid @ x)
-    err = np.zeros(zgrid.shape[0])
-    for k in range(delta):
-        g = tp.cumulant(noise, zgrid, tol=1e-12, arg_pow=(cfg.b, -(k + 1)))
-        vals = vals + g.values / cfg.c
-        err += g.err_bound / cfg.c
-    return tp.CumulantGrid(grid=zgrid, values=vals, err_bound=err)
+    scales = b ** -np.arange(1.0, delta + 1.0)
+    kicks = -0.5 * np.sum(scales * scales) * np.einsum(
+        "ij,jk,ik->i", zgrid, noise.gauss, zgrid) \
+        + 1j * np.sum(scales) * (zgrid @ noise.drift)
+    jump, err = 0.0, 0.0
+    if noise.levy.components:
+        zmax = float(np.max(np.linalg.norm(zgrid, axis=1))) or 1.0
+        jump, err = tp.jump_series(
+            noise.levy, zgrid, b, -1, lambda xmax: [1.0] * delta,
+            mp._series_envelope(b, 0, 1.0 / b, zmax), 1e-12)
+    vals = 1j * b ** (-float(delta)) * (zgrid @ x) + (kicks + jump) / cfg.c
+    return tp.CumulantGrid(grid=zgrid, values=vals,
+                           err_bound=np.full(zgrid.shape[0], err / cfg.c))
 
 
 def sample_limit_law(noise: tp.LevyTriplet, cfg: OUConfig, n: int, seed: int,

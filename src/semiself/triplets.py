@@ -233,23 +233,76 @@ def centered_exp_integrand(zgrid: np.ndarray, points: np.ndarray,
         return np.exp(1j * u_osc) - 1.0 - 1j * u / (1.0 + n2[:, None])
 
 
-def measure_cumulant(levy: ms.LevyMeasure, zgrid: np.ndarray, tol=1e-12,
-                     arg_pow=None, zbase=None):
-    """Jump part of the cumulant on a grid, with a truncation-error bound."""
-    m = zgrid.shape[0]
-    if not levy.components or m == 0:
-        return np.zeros(m, dtype=complex), 0.0
-    zmax = float(np.max(np.linalg.norm(zgrid, axis=1))) or 1.0
+def _regrouped_series(zgrid, comp: ms.ScaleLattice, ks, masses, weights,
+                      arg_pow: int) -> np.ndarray:
+    """``sum_k m(k) sum_{t<J} w_t g(b^(arg_pow - t) z, x_k)`` over points of
+    a lattice on base ``b``, summed by the phase index ``n = k - t``:
 
-    def f(points, lattice=None):
-        return centered_exp_integrand(zgrid, points, lattice,
-                                      arg_pow=arg_pow, zbase=zbase)
+        sum_n (e^{i theta_n} - 1) M_n  -  i W sum_k m(k) <z, x_k>/(1 + |x_k|^2)
 
-    vals, err = ms.sum_over_measure(
-        levy, f, envelope=ms.Envelope(zmax * zmax / 2.0 + zmax, 2,
-                                      (2.0 + zmax / 2.0,)),
-        tol=tol, out_shape=(m,), dtype=complex)
-    return vals, err
+    with ``M_n = sum_t w_t m(n + t)``, ``W = sum_t w_t b^(arg_pow - t)`` and
+    ``theta_n = anchor <z, direction> b^(n + arg_pow)``.  That is ``K + J``
+    phases per grid column instead of ``K J`` cells; the huge ones are
+    reduced exactly."""
+    b = comp.base
+    k0 = int(ks.min())
+    mk = np.bincount(ks - k0, weights=masses)
+    big_m = np.convolve(mk, np.asarray(weights)[::-1])
+    ns = np.arange(k0 - len(weights) + 1, k0 + mk.size)
+    zdir = zgrid @ comp.direction
+    radii = comp.radius(ks)
+    with np.errstate(over="ignore"):
+        theta = (comp.anchor * b ** (ns + arg_pow).astype(float))[:, None] \
+            * zdir[None, :]
+        centering = float(np.sum(masses * radii / (1.0 + radii * radii)))
+    theta = _reduced_phases(theta, zgrid, (comp, ns), arg_pow=(b, arg_pow))
+    big_w = sum(wt * b ** (arg_pow - t) for t, wt in enumerate(weights))
+    return big_m @ (np.exp(1j * theta) - 1.0) - 1j * big_w * centering * zdir
+
+
+def jump_series(levy: ms.LevyMeasure, zgrid: np.ndarray, b: float,
+                arg_pow: int, weights, env: ms.Envelope, tol: float):
+    """``sum_t w_t integral g(b^(arg_pow - t) z, x) nu(dx)`` on the unscaled
+    grid ``zgrid``, and the sum of the lattice window tails under ``env`` at
+    budget ``tol``, enumerating each component once.  ``weights(xmax)`` gives
+    ``w_0 .. w_{J-1}`` for points of 1-norm at most ``xmax``.  For ``J > 1``
+    the points at radius >= 1 of a lattice on base ``b`` are summed by phase
+    index; every other point sums its terms one by one."""
+    jump = np.zeros(zgrid.shape[0], dtype=complex)
+    err = 0.0
+    for comp in levy.components:
+        if isinstance(comp, ms.Atoms):
+            pts, masses, ks, tail = comp.points, comp.weights, None, 0.0
+        else:
+            r, masses, ks, tail = ms._enumerate_component(comp, env, tol)
+            pts = r[:, None] * comp.direction[None, :]
+        part = np.zeros(zgrid.shape[0], dtype=complex)
+        if masses.size:
+            # the terms of the per-point series, whose length the whole
+            # component sets; the 1-norm bound avoids squaring overflow
+            # at extreme lattice radii
+            w = weights(float(np.max(np.sum(np.abs(pts), axis=1))))
+            # below radius 1 the two halves of the sum by phase index grow
+            # as k falls when r * b < 1 and would cancel, so those points
+            # keep the per-point series
+            regroup = np.zeros(masses.size, dtype=bool) if ks is None \
+                or len(w) < 2 else (r >= 1.0) & (comp.base == b)
+            if regroup.any():
+                part = part + _regrouped_series(
+                    zgrid, comp, ks[regroup], masses[regroup], w, arg_pow)
+            if not regroup.all():
+                each = ~regroup
+                lattice = None if ks is None else (comp, ks[each])
+                acc = np.zeros((int(each.sum()), zgrid.shape[0]),
+                               dtype=complex)
+                for t, wt in enumerate(w):
+                    acc += wt * centered_exp_integrand(
+                        b ** (arg_pow - t) * zgrid, pts[each], lattice,
+                        arg_pow=(b, arg_pow - t), zbase=zgrid)
+                part = part + np.tensordot(masses[each], acc, axes=(0, 0))
+        jump = jump + part
+        err += tail
+    return jump, err
 
 
 def cumulant(triplet: LevyTriplet, z, tol=1e-12, arg_pow=None) -> CumulantGrid:
@@ -259,11 +312,14 @@ def cumulant(triplet: LevyTriplet, z, tol=1e-12, arg_pow=None) -> CumulantGrid:
     scale applied exactly in the lattice phase reduction, so arguments like
     ``z / b`` lose no precision against huge jump radii."""
     zbase = _as_grid(z, triplet.dim)
-    zgrid = zbase * arg_pow[0] ** arg_pow[1] if arg_pow is not None else zbase
+    pbase, power = arg_pow or (1.0, 0)
+    zgrid = zbase * pbase ** power
+    zmax = float(np.max(np.linalg.norm(zgrid, axis=1), initial=0.0)) or 1.0
     quad_part = -0.5 * np.einsum("ij,jk,ik->i", zgrid, triplet.gauss, zgrid)
     drift_part = 1j * (zgrid @ triplet.drift)
-    jump, err = measure_cumulant(triplet.levy, zgrid, tol=tol,
-                                 arg_pow=arg_pow, zbase=zbase)
+    jump, err = jump_series(
+        triplet.levy, zbase, pbase, power, lambda xmax: [1.0],
+        ms.Envelope(zmax * zmax / 2.0 + zmax, 2, (2.0 + zmax / 2.0,)), tol)
     values = quad_part + drift_part + jump
     return CumulantGrid(grid=zgrid, values=values,
                         err_bound=np.full(zgrid.shape[0], err))
@@ -291,7 +347,7 @@ def scale(triplet: LevyTriplet, s: float) -> LevyTriplet:
             comps.append(ms.ScaleLattice(c.direction, c.base, c.segments,
                                          s * c.anchor))
 
-    def shift_integrand(points, lattice=None):
+    def shift_integrand(points):
         n2 = np.sum(points * points, axis=1)
         return s * points * (1.0 / (1.0 + s * s * n2) - 1.0 / (1.0 + n2))[:, None]
 

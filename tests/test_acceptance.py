@@ -175,7 +175,7 @@ def test_criterion_09_domain_boundaries(tmp_path):
 # sha256 of the seed-42 verify summary without its manifest: it pins every
 # ECF gap and confidence radius the suites report
 VERIFY_ALL_42_SHA = \
-    "b2801bd12742390b43f0e1fc11438acb84b095a8ddff04c229f572b31ce15a51"
+    "a02a88e6c61db0129854b437a00fec725c76fb7806e8c01e0e94167e7749df7f"
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -243,7 +243,7 @@ GOLDEN = {
         ATOMS3, ["--b", "2.05", "--c", "2", "--steps", "30", "--paths", "300",
                  "--max-export", "300", "--seed", "11"],
         "4f1e806f104f8d2816e851a29c9d05c2f5ddbbb90582e42527eaafc19f0f8ff5",
-        "d63bcbdd2ca26a9394b5b9f4304a174018c45e36c3ac666dd1fd248447b4da8c"),
+        "e920f4e675ee268b2360547af7482105848f605b14acc47cb7d2ac3c49aa3e22"),
     "lattice-limit": (
         FULL_LATTICE, ["--b", "1.95", "--steps", "20", "--paths", "200",
                        "--init", "limit", "--max-export", "50", "--seed", "5"],

@@ -290,7 +290,6 @@ def test_unset_options_are_detected():
 
 # optional parameters set from outside any call the check can read
 SET_ELSEWHERE = (
-    "*(lattice)",                    # sum_over_measure calls f(points, lattice=)
     "suites.suite_*(seed)",          # called as SUITES[name](seed)
     "triplets.poisson_unit(rate)",   # public API that tests use
     # public API whose tests vary them; the package passes the default

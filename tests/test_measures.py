@@ -267,7 +267,7 @@ WINDOW_CASES = {
     "kmin-inf": (2.0, 1.3, ms.Segment(w=0.8, r=0.6)),
     "signed": (2.0, 1.0, ms.Segment(w=-0.2, r=0.5, kmin=3)),
 }
-# (envelope, tol) of square_one_integral, of measure_cumulant at |z| <= 5,
+# (envelope, tol) of square_one_integral, of tp.cumulant at |z| <= 5,
 # of an envelope growing like log R, and of the --m 1 forward series at
 # |z| <= 2 with --tol 1e-4
 WINDOW_ENVELOPES = {

@@ -114,6 +114,63 @@ def test_transition_zero_epochs_is_deterministic():
     assert out.values[0] == pytest.approx(3.0j, abs=1e-14)
 
 
+def _lattice_noise(direction, anchor, *extra):
+    d = len(direction)
+    lat = ms.ScaleLattice(direction, 2.0, (ms.Segment(w=0.8, r=0.47),), anchor)
+    return tp.LevyTriplet(0.2 * np.eye(d), ms.LevyMeasure((lat,) + extra),
+                          np.full(d, 0.1))
+
+
+# (b, c, noise): atoms beside a Gaussian part; a base-2 lattice over all
+# integers at its own base, where its points beyond radius 1 are summed by
+# phase index, and off it; a 2-D lattice beside atoms
+TRANSITION_CASES = {
+    "atoms": (2.05, 2.0, tp.LevyTriplet(
+        [[0.3]], ms.LevyMeasure((ms.Atoms([[0.7], [-1.6]], [0.8, 0.3]),)),
+        [0.2])),
+    "lattice-b2": (2.0, 1.0, _lattice_noise([1.0], 1.3)),
+    "lattice-b1.95": (1.95, 1.0, _lattice_noise([1.0], 1.3)),
+    "2d": (2.0, 1.0, _lattice_noise([0.6, -0.8], 0.7, ms.Atoms(
+        [[0.4, 0.3], [-2.0, 1.0]], [0.6, 0.2]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRANSITION_CASES))
+@pytest.mark.parametrize("delta", [0, 1, 60])
+def test_transition_matches_per_epoch_cumulants(case, delta):
+    # the kernel against one tp.cumulant per epoch at a far smaller tol
+    b, c, noise = TRANSITION_CASES[case]
+    cfg = ou.OUConfig(b, c)
+    zgrid = ou.ecf_grid(noise.dim)
+    x = np.linspace(-1.0, 1.5, noise.dim)
+    got = ou.transition_cumulant(noise, cfg, 0.0, delta / c, zgrid, x=x)
+    want = 1j * b ** -float(delta) * (zgrid @ x)
+    want_err = 0.0
+    for k in range(delta):
+        g = tp.cumulant(noise, zgrid, tol=1e-16, arg_pow=(b, -(k + 1)))
+        want = want + g.values / c
+        want_err += g.max_err() / c
+    # neither bound counts rounding: atoms, with no tail, differ by 2 ulps
+    rounding = 8.0 * 2.0 ** -53 * (1.0 + np.abs(want))
+    assert np.all(np.abs(got.values - want)
+                  <= got.err_bound + want_err + rounding)
+
+
+def test_transition_enumerates_each_lattice_once(monkeypatch):
+    calls = []
+    enumerate_component = ms._enumerate_component
+
+    def counted(lat, env, tol):
+        calls.append(lat)
+        return enumerate_component(lat, env, tol)
+
+    monkeypatch.setattr(ms, "_enumerate_component", counted)
+    other = ms.ScaleLattice([-1.0], 1.5, (ms.Segment(w=0.4, r=0.5, kmin=-3),))
+    noise = _lattice_noise([1.0], 1.3, other, ms.Atoms([[0.7]], [0.5]))
+    ou.transition_cumulant(noise, CFG, 0.0, 60.0, ou.ecf_grid(1))
+    assert calls == list(noise.levy.components[:2])
+
+
 def test_divergence_bound_oracle():
     div = ou.divergence_diagnostic(tp.poisson_unit(), CFG, [math.pi],
                                    [10.0, 20.0], n=5000, seed=11)
