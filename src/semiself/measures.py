@@ -86,7 +86,8 @@ class Segment:
     def __post_init__(self):
         if self.r <= 0.0:
             raise ValueError("segment ratio must be positive")
-        if self.kmin > self.kmax:
+        if self.kmin > self.kmax or self.kmin == self.kmax == NEG_INF \
+                or self.kmin == self.kmax == POS_INF:
             raise ValueError("empty segment range")
         if self.power and (self.kmin == NEG_INF or self.kmin < 1):
             raise ValueError("power segments require kmin >= 1")
@@ -116,6 +117,8 @@ class ScaleLattice:
             raise ValueError("lattice base must exceed 1")
         if self.anchor <= 0.0:
             raise ValueError("lattice anchor must be positive")
+        if not self.segments:
+            raise ValueError("lattice has no segments")
 
     @property
     def dim(self) -> int:
@@ -305,13 +308,16 @@ def sum_over_measure(levy: LevyMeasure, f, *, envelope: Envelope, tol,
 def component_violations(comp) -> list:
     out = []
     if isinstance(comp, Atoms):
-        radii = np.linalg.norm(comp.points, axis=1)
-        if np.any(radii == 0.0):
+        with np.errstate(over="ignore"):
+            n2 = np.sum(comp.points * comp.points, axis=1)
+        if np.any(n2 == 0.0):
             out.append("mass at origin")
         if np.any(comp.weights <= 0.0):
             out.append("nonpositive atom weight")
         if not np.all(np.isfinite(comp.points)) or not np.all(np.isfinite(comp.weights)):
             out.append("non-finite atom data")
+        elif not np.all(np.isfinite(n2)):
+            out.append("atom too far out: |x|^2 overflows")
     else:
         b = comp.base
         # signed segment pairs are fine as long as the summed law is >= 0

@@ -23,6 +23,8 @@ from .errors import ToleranceError, UnsupportedComponentError
 MASS_TOL = 1e-12
 COMPENSATION_FACTOR = 100.0  # require sigma(eps)^2 >= factor * eps^2
 EPS_FLOOR = 1e-9
+_I64 = np.iinfo(np.int64).max
+POISSON_LAM_MAX = _I64 - 10.0 * math.sqrt(_I64)  # numpy's largest Poisson mean
 
 
 @dataclass(frozen=True)
@@ -215,7 +217,11 @@ class Sampler:
         values = rng.standard_normal((n, L.shape[0])) @ L.T + t * shift
         meta = dict(meta)
         if points.shape[0]:
-            counts = rng.poisson(lam=t * masses, size=(n, masses.shape[0]))
+            lam = t * masses
+            if not np.max(lam) <= POISSON_LAM_MAX:
+                raise ToleranceError(f"compound Poisson intensity {np.max(lam):.3g}"
+                                     " exceeds the sampler's limit")
+            counts = rng.poisson(lam=lam, size=(n, masses.shape[0]))
             values = values + counts @ points
             meta["cp_intensity"] = float(t * np.sum(masses))
         return SampleBatch(values, t=float(t), seed=int(seed), metadata=meta)

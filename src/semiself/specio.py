@@ -49,11 +49,13 @@ def _bound_to_json(v):
 
 
 def _bound_from_json(v):
-    if v == "-inf":
-        return ms.NEG_INF
-    if v == "inf":
-        return ms.POS_INF
-    return int(v)
+    """An integer, an integral float, "-inf" or "inf"; nothing else."""
+    if v in ("-inf", "inf"):
+        return ms.NEG_INF if v == "-inf" else ms.POS_INF
+    if type(v) is int or type(v) is float and v.is_integer():
+        return int(v)
+    raise SpecError(f"segment bound {json.dumps(v)} is not an integer, "
+                    '"-inf" or "inf"')
 
 
 def _component_to_dict(comp) -> dict:

@@ -428,6 +428,46 @@ def test_validity_guard_runs_first(tmp_path, capsys, command, spec_id):
     assert not out.exists()
 
 
+def _one_segment(**bounds):
+    seg = dict({"w": 1.0, "r": 0.5, "kmin": 0, "kmax": "inf"}, **bounds)
+    return {"schema": 1, "levy": [{"kind": "lattice", "direction": [1.0],
+                                   "base": 2.0, "anchor": 1.0,
+                                   "segments": [seg] if bounds else []}]}
+
+
+# specs the reader or the validity guard refuses on every command, and an
+# atom weight whose Poisson intensity no draw can take
+REFUSED = {
+    "kmin-fraction": _one_segment(kmin=0.5),
+    "kmin-string": _one_segment(kmin="3"),
+    "kmin-bool": _one_segment(kmin=True),
+    "ends-neg-inf": _one_segment(kmin="-inf", kmax="-inf"),
+    "ends-inf": _one_segment(kmin="inf", kmax="inf"),
+    "no-segments": _one_segment(),
+    "atom-overflow": {"schema": 1, "levy": [
+        {"kind": "atoms", "points": [[1e300]], "weights": [1.0]}]},
+    "atom-weight": {"schema": 1, "levy": [
+        {"kind": "atoms", "points": [[1.0]], "weights": [1e300]}]}}
+REFUSED_COMMANDS = {"map": ["map", "--grid", "2:3"], "check": ["check"],
+                    "simulate": ["simulate", "--paths", "20", "--steps", "3"]}
+REFUSED_CASES = [(s, c, 2) for s in REFUSED if s != "atom-weight"
+                 for c in REFUSED_COMMANDS] + [("atom-weight", "simulate", 4)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec_id,command,code", REFUSED_CASES,
+                         ids=[f"{c}-{s}" for s, c, _ in REFUSED_CASES])
+def test_refused_spec_exits_with_one_line(tmp_path, capsys, spec_id, command,
+                                          code):
+    spec = write_spec(tmp_path, "spec.json", REFUSED[spec_id])
+    sub, *flags = REFUSED_COMMANDS[command]
+    out = tmp_path / "x"
+    assert cli.main([sub, spec, "--b", "2", *flags, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_semistable_degenerate_law_exit_3(tmp_path, capsys):
     # Re C vanishes on the whole grid: no scaling exponent to fit
     spec = write_spec(tmp_path, "det.json",

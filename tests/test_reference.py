@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semiself import measures as ms
+from semiself import ou
 from semiself import triplets as tp
 
 
@@ -183,4 +184,29 @@ def test_cumulant_bound_holds_on_a_plain_2d_lattice():
             u = zd * r
             ref += mpmath.mpf(0.5) * mpmath.mpf(2) ** -k * (
                 mpmath.expj(u) - 1 - 1j * u / (1 + r * r))
+    assert abs(got.values[0] - complex(ref)) <= got.err_bound[0]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "cos u rounds to 1 for tiny u, and the masses that multiply e^{iu} - 1 "
+    "grow as k falls when r b < 1; no err_bound counts it (ROADMAP 1(a))"))
+def test_transition_bound_holds_on_lattice_noise_below_radius_one():
+    # base-2 lattice noise over all integers with r b < 1, as ou-simulate
+    # draws it: the terms near u = 1e-8 lose about 1e-16 of m(k) ~ 1e8 each
+    mpmath = pytest.importorskip("mpmath")
+    lat = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=0.8, r=0.47),), 1.3)
+    noise = tp.LevyTriplet(np.zeros((1, 1)), ms.LevyMeasure((lat,)),
+                           np.zeros(1))
+    delta, z = 2, 3.0
+    got = ou.transition_cumulant(noise, ou.OUConfig(2.0, 1.0), 0.0,
+                                 float(delta), [[z]])
+    with mpmath.workdps(80):
+        ref = mpmath.mpc(0)
+        for t in range(delta):
+            zt = mpmath.mpf(z) * mpmath.mpf(2) ** (-1 - t)
+            for k in range(-250, 121):
+                r = mpmath.mpf(lat.anchor) * mpmath.mpf(2) ** k
+                u = zt * r
+                ref += mpmath.mpf(0.8) * mpmath.mpf(0.47) ** k * (
+                    mpmath.expj(u) - 1 - 1j * u / (1 + r * r))
     assert abs(got.values[0] - complex(ref)) <= got.err_bound[0]

@@ -40,6 +40,14 @@ def test_infinite_bounds_serialize():
     assert back.segments[0].kmin == ms.NEG_INF
 
 
+def test_segment_bounds_are_integers_or_infinities():
+    assert [specio._bound_from_json(v) for v in (3, -2.0, "-inf", "inf")] \
+        == [3, -2, ms.NEG_INF, ms.POS_INF]
+    for v in (0.5, "3", True, None, float("inf"), float("nan"), [1]):
+        with pytest.raises(SpecError, match="segment bound"):
+            specio._bound_from_json(v)
+
+
 def test_semistable_expands_with_strict_drift():
     obj = {"levy": [{"kind": "semistable", "b": 2.0, "alpha": 0.5}]}
     mu = specio.triplet_from_dict(obj)
