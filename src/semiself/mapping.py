@@ -113,7 +113,7 @@ def forward_cumulant(rho: tp.LevyTriplet, b: float, z, *, m: int = 0,
     quad_part = -0.5 * s * s * gm2 * np.einsum("ij,jk,ik->i", zgrid, rho.gauss, zgrid)
     drift_part = 1j * s * gm1 * (zgrid @ rho.drift)
 
-    jump, err = np.zeros(zgrid.shape[0], dtype=complex), 0.0
+    jump, err = 0.0, 0.0
     if rho.levy.components:
         jump, err = tp.jump_series(
             rho.levy, zgrid, b, arg_pow,

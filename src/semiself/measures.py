@@ -86,8 +86,8 @@ class Segment:
     def __post_init__(self):
         if self.r <= 0.0:
             raise ValueError("segment ratio must be positive")
-        if self.kmin > self.kmax or self.kmin == self.kmax == NEG_INF \
-                or self.kmin == self.kmax == POS_INF:
+        if self.kmin > self.kmax or (self.kmin == self.kmax
+                                     and math.isinf(self.kmin)):
             raise ValueError("empty segment range")
         if self.power and (self.kmin == NEG_INF or self.kmin < 1):
             raise ValueError("power segments require kmin >= 1")

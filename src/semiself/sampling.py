@@ -219,8 +219,9 @@ class Sampler:
         if points.shape[0]:
             lam = t * masses
             if not np.max(lam) <= POISSON_LAM_MAX:
-                raise ToleranceError(f"compound Poisson intensity {np.max(lam):.3g}"
-                                     " exceeds the sampler's limit")
+                raise ToleranceError(f"compound Poisson intensity "
+                                     f"{np.max(lam):.3g} exceeds the limit "
+                                     "of numpy's Poisson sampler")
             counts = rng.poisson(lam=lam, size=(n, masses.shape[0]))
             values = values + counts @ points
             meta["cp_intensity"] = float(t * np.sum(masses))

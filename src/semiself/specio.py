@@ -51,7 +51,7 @@ def _bound_to_json(v):
 def _bound_from_json(v):
     """An integer, an integral float, "-inf" or "inf"; nothing else."""
     if v in ("-inf", "inf"):
-        return ms.NEG_INF if v == "-inf" else ms.POS_INF
+        return float(v)
     if type(v) is int or type(v) is float and v.is_integer():
         return int(v)
     raise SpecError(f"segment bound {json.dumps(v)} is not an integer, "
