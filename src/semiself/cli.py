@@ -217,7 +217,8 @@ def cmd_simulate(args) -> int:
     if args.semistationary:
         horizon = args.steps / args.c
         bundle, shift_rep = ou.semistationary_path(
-            noise, cfg, horizon, n=args.paths, seed=args.seed)
+            noise, cfg, horizon, n=args.paths, seed=args.seed,
+            keep=args.max_export)
         report["shift_invariance"] = {
             "times": list(shift_rep.times), "shift": shift_rep.shift,
             "marginal_gap": shift_rep.marginal_gap,
@@ -228,17 +229,18 @@ def cmd_simulate(args) -> int:
         if isinstance(init, str):
             init = ou.sample_limit_law(noise, cfg, args.paths, args.seed + 1)
         bundle = ou.solve_path(noise, cfg, init, args.steps,
-                               n_paths=args.paths, seed=args.seed)
+                               n_paths=args.paths, seed=args.seed,
+                               keep=args.max_export)
     report["langevin_residual"] = ou.verify_langevin(bundle)
 
     # terminal ECF against the exact finite-epoch characteristic function
     zgrid = ou.ecf_grid(noise.dim)
-    emp = sp.ecf(bundle.states[:, -1, :], zgrid)
+    emp = sp.ecf(bundle.terminal, zgrid)
     if limit_mode:
         ref = np.exp(ou.limit_cumulant(noise, cfg, zgrid).values)
         label = "limit"
     else:
-        x0 = bundle.states[0, 0]
+        x0 = bundle.at_epoch(0)[0]
         fin = ou.transition_cumulant(noise, cfg, 0.0,
                                      bundle.epochs / cfg.c, zgrid, x=x0)
         ref = np.exp(fin.values)
@@ -253,8 +255,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if bundle.n_paths > args.max_export:
         report["exported_paths"] = args.max_export
-    cols, rows = specio.paths_csv_rows(bundle.head(args.max_export,
-                                                   bundle.epochs))
+    cols, rows = specio.paths_csv_rows(bundle)
     specio.write_csv(os.path.join(args.out, "paths.csv"), cols, rows,
                      manifest_hash=mhash)
     specio.write_json(os.path.join(args.out, "report.json"), report)

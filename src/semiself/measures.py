@@ -310,8 +310,11 @@ def component_violations(comp) -> list:
     if isinstance(comp, Atoms):
         with np.errstate(over="ignore"):
             n2 = np.sum(comp.points * comp.points, axis=1)
-        if np.any(n2 == 0.0):
+        origin = ~np.any(comp.points, axis=1)
+        if np.any(origin):
             out.append("mass at origin")
+        if np.any((n2 < np.finfo(float).tiny) & ~origin):
+            out.append("atom too near the origin: |x|^2 underflows")
         if np.any(comp.weights <= 0.0):
             out.append("nonpositive atom weight")
         if not np.all(np.isfinite(comp.points)) or not np.all(np.isfinite(comp.weights)):

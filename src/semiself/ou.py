@@ -14,7 +14,7 @@ characteristic-function bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,6 @@ DEFAULT_N = 100_000
 LIMIT_TAIL_TOL = 1e-4       # cumulant bound of the dropped limit-series tail
 STATIONARY_CHECKS = 5       # epochs checked for stationarity of a limit start
 LIMIT_EPOCHS = 60           # epochs run by the limit-law validation
-RESIDUAL_BLOCK = 1024       # paths per block of the Langevin residual
 
 
 @dataclass(frozen=True)
@@ -51,16 +50,24 @@ class OUConfig:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated paths indexed by epoch; states are right-continuous."""
+    """Simulated paths indexed by epoch; states are right-continuous.
+
+    ``states`` and ``increments`` hold the whole trajectory of the first
+    paths.  When those are not all the paths, ``snapshots`` holds every
+    path's state at the epochs a caller reads.  ``peaks`` has one row per
+    epoch of the running maxima of the balance identity (``_Balance``).
+    """
 
     config: OUConfig
-    states: np.ndarray       # (n_paths, epochs + 1, d), states[:, 0] = M
-    increments: np.ndarray   # (n_paths, epochs, d)
+    states: np.ndarray       # (kept paths, epochs + 1, d), states[:, 0] = M
+    increments: np.ndarray   # (kept paths, epochs, d)
     seed: int
+    snapshots: dict = field(default_factory=dict)   # epoch -> (n_paths, d)
+    peaks: np.ndarray | None = None                 # (epochs + 1, 3)
 
     @property
     def n_paths(self) -> int:
-        return self.states.shape[0]
+        return self.at_epoch(0).shape[0]
 
     @property
     def epochs(self) -> int:
@@ -73,16 +80,31 @@ class PathBundle:
     def times(self) -> np.ndarray:
         return np.arange(self.epochs + 1) / self.config.c
 
-    def head(self, n_paths: int, epochs: int) -> PathBundle:
-        """The first ``n_paths`` paths over the first ``epochs`` epochs."""
-        return PathBundle(self.config, self.states[:n_paths, :epochs + 1],
-                          self.increments[:n_paths, :epochs], self.seed)
+    def head(self, epochs: int) -> PathBundle:
+        """The bundle over its first ``epochs`` epochs."""
+        return PathBundle(
+            self.config, self.states[:, :epochs + 1],
+            self.increments[:, :epochs], self.seed,
+            {k: v for k, v in self.snapshots.items() if k <= epochs},
+            None if self.peaks is None else self.peaks[:epochs + 1])
 
-    def state_at(self, t: float) -> np.ndarray:
-        k = self.config.epoch(t)
+    def at_epoch(self, k: int) -> np.ndarray:
+        """Every path's state at epoch ``k``."""
         if not 0 <= k <= self.epochs:
             raise ValueError("time outside the simulated window")
-        return self.states[:, k, :]
+        if not self.snapshots:
+            return self.states[:, k, :]
+        if k not in self.snapshots:
+            raise ValueError(f"epoch {k} was kept for the first "
+                             f"{self.states.shape[0]} paths only")
+        return self.snapshots[k]
+
+    def state_at(self, t: float) -> np.ndarray:
+        return self.at_epoch(self.config.epoch(t))
+
+    @property
+    def terminal(self) -> np.ndarray:
+        return self.at_epoch(self.epochs)
 
 
 def _resolve_init(init, n_paths: int, dim: int) -> np.ndarray:
@@ -109,22 +131,69 @@ def _recursion(sampler: sp.Sampler, cfg: OUConfig, Z: np.ndarray,
         yield dX, Z
 
 
+class _Balance:
+    """Running maxima of the pathwise balance identity
+
+        Z_k - M - sum_{l<=k} dX_l + (b - 1) sum_{l<=k} Z_l = 0,
+
+    fed one epoch at a time: max |Z|, max |sum dX| and max |residual| over
+    every path up to each epoch.  Its running sums are ``np.cumsum``'s along
+    epochs, bit for bit.
+    """
+
+    def __init__(self, b: float, M: np.ndarray):
+        self.b, self.M = b, M
+        self.sum_dx = np.zeros_like(M)
+        self.sum_z = np.zeros_like(M)
+        self.rows = [np.array([_peak(M), 0.0, 0.0])]
+
+    def add(self, dX: np.ndarray, Z: np.ndarray) -> None:
+        self.sum_dx += dX
+        self.sum_z += Z
+        res = Z - self.M
+        res -= self.sum_dx
+        res += self.sum_z * (self.b - 1.0)
+        # np.maximum, unlike max, keeps a NaN wherever it comes
+        self.rows.append(np.maximum(self.rows[-1], [
+            _peak(Z), _peak(self.sum_dx), _peak(res)]))
+
+    def peaks(self) -> np.ndarray:
+        return np.array(self.rows)
+
+
+def _peak(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a), initial=0.0))
+
+
 def solve_path(noise: tp.LevyTriplet, cfg: OUConfig, init, epochs: int,
-               n_paths: int = 1, seed: int = 0) -> PathBundle:
-    """Run the epoch recursion from ``init`` for ``epochs`` kicks."""
+               n_paths: int = 1, seed: int = 0, keep: int | None = None,
+               snapshots=()) -> PathBundle:
+    """Run the epoch recursion from ``init`` for ``epochs`` kicks.
+
+    The bundle holds the whole trajectory of the first ``keep`` paths (of
+    every path by default) and, when those are not all the paths, every
+    path's state at epoch 0, at ``epochs`` and at each of ``snapshots``.
+    """
     if epochs < 0:
         raise ValueError("epochs must be nonnegative")
     d = noise.dim
     Z = _resolve_init(init, n_paths, d)
-    states = np.empty((n_paths, epochs + 1, d))
-    states[:, 0, :] = Z
-    increments = np.empty((n_paths, epochs, d))
+    kept = n_paths if keep is None else min(keep, n_paths)
+    states = np.empty((kept, epochs + 1, d))
+    states[:, 0, :] = Z[:kept]
+    increments = np.empty((kept, epochs, d))
+    wanted = set() if kept == n_paths else {0, epochs, *snapshots}
+    snaps = {0: Z} if wanted else {}
+    balance = _Balance(cfg.b, Z)
     steps = _recursion(sp.Sampler(noise), cfg, Z, epochs, seed)
-    for k, (dX, Z) in enumerate(steps):
-        increments[:, k, :] = dX
-        states[:, k + 1, :] = Z
+    for k, (dX, Z) in enumerate(steps, 1):
+        increments[:, k - 1, :] = dX[:kept]
+        states[:, k, :] = Z[:kept]
+        balance.add(dX, Z)
+        if k in wanted:
+            snaps[k] = Z
     return PathBundle(config=cfg, states=states, increments=increments,
-                      seed=int(seed))
+                      seed=int(seed), snapshots=snaps, peaks=balance.peaks())
 
 
 def closed_form_states(bundle: PathBundle) -> np.ndarray:
@@ -142,28 +211,16 @@ def closed_form_states(bundle: PathBundle) -> np.ndarray:
 
 
 def verify_langevin(bundle: PathBundle) -> float:
-    """Max relative residual of the pathwise balance identity
-
-        Z_k - M - sum_{l<=k} dX_l + (b - 1) sum_{l<=k} Z_l = 0,
-
-    over blocks of ``RESIDUAL_BLOCK`` paths, so that no temporary spans the
-    bundle; the sums run along epochs within a path, so blocks do not change
-    a bit of the value.
-    """
-    b = bundle.config.b
-    peaks = []     # per block: max |Z|, max |sum dX|, max |residual|
-    for i in range(0, bundle.n_paths, RESIDUAL_BLOCK):
-        states = bundle.states[i:i + RESIDUAL_BLOCK]
-        cum = np.cumsum(bundle.increments[i:i + RESIDUAL_BLOCK], axis=1)
-        res = states[:, 1:, :] - states[:, :1, :]
-        res -= cum
-        dx_peak = np.max(np.abs(cum, out=cum), initial=0.0)
-        np.cumsum(states[:, 1:, :], axis=1, out=cum)
-        cum *= b - 1.0
-        res += cum
-        peaks.append((max(np.max(states), -np.min(states)), dx_peak,
-                      np.max(np.abs(res, out=res), initial=0.0)))
-    z_peak, dx_peak, res_peak = np.max(peaks, axis=0)
+    """Max relative residual of the balance identity (``_Balance``) over
+    every path and epoch: the peaks summed during the run, or, for a bundle
+    built without them, summed now one epoch at a time."""
+    peaks = bundle.peaks
+    if peaks is None:
+        balance = _Balance(bundle.config.b, bundle.states[:, 0, :])
+        for k in range(bundle.epochs):
+            balance.add(bundle.increments[:, k, :], bundle.states[:, k + 1, :])
+        peaks = balance.peaks()
+    z_peak, dx_peak, res_peak = peaks[-1]
     return float(res_peak) / max(float(z_peak), float(dx_peak), 1.0)
 
 
@@ -338,9 +395,10 @@ class ShiftReport:
 
 
 def _limit_start_run(noise: tp.LevyTriplet, cfg: OUConfig, times, shift: float,
-                     n: int, seed: int, epochs: int = 0):
+                     n: int, seed: int, epochs: int = 0, keep: int | None = 0):
     """Simulate from a limit-law start for at least ``epochs`` epochs and past
-    every shifted time; return the bundle and its shift report."""
+    every shifted time, keeping the trajectories of the first ``keep`` paths;
+    return the bundle and its shift report."""
     times = tuple(float(t) for t in times)
     all_t = times + tuple(t + shift for t in times)
     if min(all_t) < 0.0:
@@ -350,8 +408,9 @@ def _limit_start_run(noise: tp.LevyTriplet, cfg: OUConfig, times, shift: float,
     zmax = float(np.max(np.abs(zv))) * math.sqrt(d) * 2.0
 
     init = sample_limit_law(noise, cfg, n, seed, zmax=zmax)
-    epochs = max(epochs, cfg.epoch(max(all_t)))
-    bundle = solve_path(noise, cfg, init, epochs, n_paths=n, seed=seed + 1)
+    checked = {epochs} | {cfg.epoch(t) for t in all_t}
+    bundle = solve_path(noise, cfg, init, max(checked), n_paths=n,
+                        seed=seed + 1, keep=keep, snapshots=checked)
 
     def line(t):
         # the state summed over coordinates, as (n, 1) draws
@@ -389,18 +448,20 @@ def shift_invariance_gap(noise: tp.LevyTriplet, cfg: OUConfig, times, shift: flo
 
 
 def semistationary_path(noise: tp.LevyTriplet, cfg: OUConfig, horizon: float,
-                        n: int = DEFAULT_N, seed: int = 0):
+                        n: int = DEFAULT_N, seed: int = 0,
+                        keep: int | None = None):
     """Realize the process from a limit-law start over [0, horizon] and check
     shift-invariance of marginal and joint ECFs by one period 1/c, on one
-    simulation that runs past both the horizon and the shifted times."""
+    simulation that runs past both the horizon and the shifted times; the
+    trajectories of the first ``keep`` paths (all by default) are kept."""
     period = 1.0 / cfg.c
     upper = max(horizon - period, period)
     times = tuple(np.linspace(0.3 * period, upper, 3))
     epochs = cfg.epoch(horizon)
     bundle, report = _limit_start_run(noise, cfg, times, period, n, seed,
-                                      epochs)
+                                      epochs, keep)
     # the recursion's first epochs do not depend on how many follow
-    return bundle.head(n, epochs), report
+    return bundle.head(epochs), report
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +492,15 @@ def divergence_diagnostic(noise: tp.LevyTriplet, cfg: OUConfig, z0, times,
                          "(deterministic noise is excluded)")
     bound = math.exp(re_c / cfg.c)
     times = tuple(float(t) for t in times)
-    epochs = cfg.epoch(max(times))
-    bundle = solve_path(noise, cfg, np.zeros(noise.dim), epochs, n_paths=n,
-                        seed=seed)
+    ks = [cfg.epoch(t) for t in times]
+    if min(ks) < 1:
+        raise ValueError("each time must lie at least one epoch in")
+    bundle = solve_path(noise, cfg, np.zeros(noise.dim), max(ks), n_paths=n,
+                        seed=seed, keep=0,
+                        snapshots={j for k in ks for j in (k - 1, k)})
     ests = []
-    for t in times:
-        k = cfg.epoch(t)
-        if k < 1:
-            raise ValueError("each time must lie at least one epoch in")
-        diff = bundle.states[:, k, :] - bundle.states[:, k - 1, :]
+    for k in ks:
+        diff = bundle.at_epoch(k) - bundle.at_epoch(k - 1)
         # not sp.ecf, which would reassociate the product b * (diff @ z0)
         ests.append(abs(complex(np.mean(sp.expi(cfg.b * (diff @ z0))))))
     radius = sp.conf_radius(n)

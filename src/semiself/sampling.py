@@ -25,6 +25,7 @@ COMPENSATION_FACTOR = 100.0  # require sigma(eps)^2 >= factor * eps^2
 EPS_FLOOR = 1e-9
 _I64 = np.iinfo(np.int64).max
 POISSON_LAM_MAX = _I64 - 10.0 * math.sqrt(_I64)  # numpy's largest Poisson mean
+ECF_BLOCK = 1024             # draws per block of an ECF sum
 
 
 @dataclass(frozen=True)
@@ -251,8 +252,24 @@ def expi(u: np.ndarray) -> np.ndarray:
 
 def ecf(values: np.ndarray, grid) -> EmpiricalCF:
     """Empirical characteristic function of the ``(n, d)`` draws ``values``
-    on a grid, with the radius ``conf_radius(n)``."""
+    on a grid, with the radius ``conf_radius(n)``.
+
+    It equals ``np.mean(expi(values @ grid.T), axis=0)`` bit for bit without
+    its ``(n, m)`` complex temporary.  That mean sums an ``(n, m > 1)`` array
+    row after row, so its sum is continued here from the running total over
+    blocks of ``ECF_BLOCK`` draws; one column it sums pairwise, so that is
+    summed whole.  The phases come from one product: split into blocks, its
+    last bits would move.
+    """
     zgrid = tp._as_grid(grid, values.shape[1])
-    vals = np.mean(expi(values @ zgrid.T), axis=0)
-    return EmpiricalCF(grid=zgrid, values=vals,
-                       conf_radius=conf_radius(values.shape[0]))
+    n = values.shape[0]
+    radius = conf_radius(n)
+    phases = values @ zgrid.T
+    step = ECF_BLOCK if zgrid.shape[0] > 1 else n
+    total = None
+    for i in range(0, n, step):
+        terms = expi(phases[i:i + step])
+        if total is not None:
+            terms = np.concatenate([total[None], terms])
+        total = np.add.reduce(terms, axis=0)
+    return EmpiricalCF(grid=zgrid, values=total / n, conf_radius=radius)

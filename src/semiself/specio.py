@@ -16,6 +16,7 @@ and every output can carry the sha256 hash of the spec it came from.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -30,6 +31,7 @@ from . import triplets as tp
 from .errors import SemiselfError
 
 SCHEMA_VERSION = 1
+CSV_BLOCK = 8192            # CSV lines formatted and written at a time
 
 
 class SpecError(SemiselfError):
@@ -149,12 +151,15 @@ def spec_hash(obj) -> str:
 # atomic writers
 
 
-def write_text_atomic(path: str, text: str) -> None:
+def write_text_atomic(path: str, text) -> None:
+    """Write ``text``, a string or an iterable of strings, to a temporary
+    file beside ``path`` and rename it over ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for chunk in [text] if isinstance(text, str) else text:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -168,13 +173,17 @@ def write_json(path: str, obj) -> None:
 
 def write_csv(path: str, columns, rows, manifest_hash: str = "") -> None:
     """Write a CSV: the header ``columns``, then one preformatted line per
-    row."""
-    lines = []
-    if manifest_hash:
-        lines.append(f"# manifest: {manifest_hash}")
-    lines.append(",".join(columns))
-    lines.extend(rows)
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    row, ``CSV_BLOCK`` rows at a time."""
+    head = [f"# manifest: {manifest_hash}"] if manifest_hash else []
+    head.append(",".join(columns))
+
+    def chunks():
+        yield "\n".join(head) + "\n"
+        it = iter(rows)
+        while block := list(itertools.islice(it, CSV_BLOCK)):
+            yield "\n".join(block) + "\n"
+
+    write_text_atomic(path, chunks())
 
 
 def cumulant_csv_rows(grid: tp.CumulantGrid):
@@ -188,23 +197,43 @@ def cumulant_csv_rows(grid: tp.CumulantGrid):
     return cols, [fmt % tuple(row) for row in cells.tolist()]
 
 
+class _Lines:
+    """``n`` preformatted lines, made block by block as they are read."""
+
+    def __init__(self, n: int, blocks):
+        self.n, self.blocks = n, blocks
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self.blocks())
+
+
 def paths_csv_rows(bundle):
-    """Columns (path, epoch, time, state..., increment...) of a PathBundle
-    and one preformatted line per path and epoch."""
+    """Columns (path, epoch, time, state..., increment...) of the kept
+    trajectories of a PathBundle and one line per path and epoch, formatted
+    as they are read, about ``CSV_BLOCK`` lines' worth of paths at a time."""
     d = bundle.dim
     cols = (["path", "epoch", "time"] + [f"z{i}" for i in range(d)]
             + [f"dx{i}" for i in range(d)])
-    n, k1 = bundle.n_paths, bundle.epochs + 1
-    cells = np.zeros((n, k1, 2 * d))
-    cells[:, :, :d] = bundle.states
-    cells[:, 1:, d:] = bundle.increments
+    n, k1 = bundle.states.shape[0], bundle.epochs + 1
     epochs = [f"{k},{t!r}"
               for k, t in enumerate(bundle.times().tolist())]
     fmt = "%d,%s" + ",%r" * (2 * d)
-    columns = [cells[:, :, j].ravel().tolist() for j in range(2 * d)]
-    rows = list(map(fmt.__mod__, zip(np.repeat(np.arange(n), k1).tolist(),
-                                     epochs * n, *columns)))
-    return cols, rows
+    step = max(1, CSV_BLOCK // k1)
+
+    def blocks():
+        for i in range(0, n, step):
+            m = min(step, n - i)
+            cells = np.zeros((m, k1, 2 * d))
+            cells[:, :, :d] = bundle.states[i:i + m]
+            cells[:, 1:, d:] = bundle.increments[i:i + m]
+            columns = [cells[:, :, j].ravel().tolist() for j in range(2 * d)]
+            paths = np.repeat(np.arange(i, i + m), k1).tolist()
+            yield map(fmt.__mod__, zip(paths, epochs * m, *columns))
+
+    return cols, _Lines(n * k1, blocks)
 
 
 # ---------------------------------------------------------------------------

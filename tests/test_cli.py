@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,9 @@ EDGE = {"schema": 1, "levy": [{"kind": "lattice", "direction": [1.0],
                                "base": 2.0, "anchor": 1.0,
                                "segments": [{"w": 1.0, "r": 1.0, "kmin": 1,
                                              "kmax": "inf", "power": 3}]}]}
+NOISE2D = {"schema": 1, "gauss": [[0.3, 0.1], [0.1, 0.2]], "drift": [0.1, -0.2],
+           "levy": [{"kind": "atoms", "points": [[0.4, 0.3], [-2.0, 1.0]],
+                     "weights": [0.6, 0.2]}]}
 # power 4: the log^2-moment an --m 1 map needs is finite
 EDGE4 = {"schema": 1, "levy": [dict(EDGE["levy"][0], segments=[
     dict(EDGE["levy"][0]["segments"][0], power=4)])]}
@@ -249,6 +253,23 @@ GOLDEN = {
                        "--init", "limit", "--max-export", "50", "--seed", "5"],
         "c2205d4a1d71ba6cf00a33501c0b242d76089eac12f5d992e0ad075ba17d073b",
         "317640ae85ee32ab26631195e232911bd5b8e4c648609b90ef2218ca896a0a18"),
+    # the shift check runs to epoch 2, past the one epoch exported
+    "semistationary-steps-1": (
+        ATOMS3, ["--b", "2", "--steps", "1", "--paths", "400",
+                 "--semistationary", "--max-export", "30", "--seed", "3"],
+        "fe1d253d474bc85b079f526de28099c2f6216d2c9d7bae1daa62f5cc4759e26a",
+        "0b7943f4600e9bfffa433a086bff10044e94c6c65d93c69b9d1139ba01ba8658"),
+    "noise-2d": (
+        NOISE2D, ["--b", "1.9", "--c", "1.5", "--steps", "12", "--paths", "150",
+                  "--init", "0.5,-1", "--max-export", "40", "--seed", "8"],
+        "71acd58e0f697576a5f062c24c7e98b0aaa364cc7b423842e58ffedbe2831e1b",
+        "c3e05ad61b32c11040f63874c7a39e13757a45475c147290b745fbdae151fd73"),
+    # 450 paths x 41 epochs: more rows than one CSV write block
+    "export-blocks": (
+        ATOMS3, ["--b", "2.1", "--steps", "40", "--paths", "500",
+                 "--max-export", "450", "--seed", "13"],
+        "319ae629064ed45e5d1350f836738102ebe537ac6ae2726fcf068add78f6fb4a",
+        "6dbe455e71863d9dc1573b84029a9348fb1ced281502da0e199cf018e45e7b42"),
 }
 
 
@@ -446,6 +467,10 @@ REFUSED = {
     "no-segments": _one_segment(),
     "atom-overflow": {"schema": 1, "levy": [
         {"kind": "atoms", "points": [[1e300]], "weights": [1.0]}]},
+    "atom-origin": {"schema": 1, "levy": [
+        {"kind": "atoms", "points": [[0.0]], "weights": [1.0]}]},
+    "atom-underflow": {"schema": 1, "levy": [
+        {"kind": "atoms", "points": [[1e-200]], "weights": [1.0]}]},
     "atom-weight": {"schema": 1, "levy": [
         {"kind": "atoms", "points": [[1.0]], "weights": [1e300]}]}}
 REFUSED_COMMANDS = {"map": ["map", "--grid", "2:3"], "check": ["check"],
@@ -466,6 +491,19 @@ def test_refused_spec_exits_with_one_line(tmp_path, capsys, spec_id, command,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("x,code,message", [
+    (0.0, 2, "error: mass at origin\n"),
+    (1e-200, 2, "error: atom too near the origin: |x|^2 underflows\n"),
+    (1e-150, 0, "")])
+def test_atom_near_origin(tmp_path, capsys, x, code, message):
+    # 1e-200 is off the origin, but its |x|^2 underflows; 1e-150's does not
+    spec = write_spec(tmp_path, "spec.json", {"schema": 1, "levy": [
+        {"kind": "atoms", "points": [[x]], "weights": [1.0]}]})
+    assert cli.main(["map", spec, "--b", "2", "--grid", "2:3",
+                     "--out", str(tmp_path / "x")]) == code
+    assert capsys.readouterr().err == message
 
 
 def test_semistable_degenerate_law_exit_3(tmp_path, capsys):
@@ -622,6 +660,31 @@ def test_simulate_max_export_zero_writes_header_only(tmp_path):
     assert lines[1:] == ["path,epoch,time,z0,dx0"]
     assert json.load(open(os.path.join(out, "report.json")))[
         "exported_paths"] == 0
+
+
+# (paths, epochs, --max-export, bound in MB): holding paths x epochs peaked
+# at 71.7 and 42.5 MB; the streamed recursion and export hold the exported
+# trajectories, a few per-path vectors and one block of CSV lines
+SIMULATE_MEMORY = {"sampling": (20_000, 200, 100, 16),
+                   "full-export": (3000, 60, 3000, 12)}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_MEMORY))
+def test_simulate_peak_memory(tmp_path, case):
+    paths, steps, export, bound_mb = SIMULATE_MEMORY[case]
+    spec = write_spec(tmp_path, "atoms.json", ATOMS3)
+    out = str(tmp_path / "sim")
+    tracemalloc.start()
+    try:
+        assert cli.main(["simulate", spec, "--b", "2", "--steps", str(steps),
+                         "--paths", str(paths), "--max-export", str(export),
+                         "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2 ** 20
+    rows = open(os.path.join(out, "paths.csv")).read().count("\n") - 2
+    assert rows == min(paths, export) * (steps + 1)
 
 
 def test_manifest_records_main_argv(tmp_path):

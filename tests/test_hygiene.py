@@ -3,6 +3,7 @@
 import ast
 import fnmatch
 import importlib
+import inspect
 import os
 import pathlib
 import re
@@ -339,14 +340,33 @@ def test_scipy_stays_unloaded(name):
     assert proc.returncode == 0, proc.stderr
 
 
-def traced_layers() -> tuple:
-    """The ``TRACED`` tuple of the benchmark's layer tracer, read as text."""
+def layers_assignment(name: str) -> ast.expr:
+    """The value assigned to ``name`` in the benchmark's layer tracer, read
+    as text."""
     tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-                getattr(t, "id", None) == "TRACED" for t in node.targets):
-            return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/layers.py defines no TRACED tuple")
+                getattr(t, "id", None) == name for t in node.targets):
+            return node.value
+    raise AssertionError(f"perfbench/layers.py defines no {name}")
+
+
+def traced_layers() -> tuple:
+    """The ``TRACED`` tuple of the benchmark's layer tracer."""
+    return ast.literal_eval(layers_assignment("TRACED"))
+
+
+def work_arguments() -> dict:
+    """Layer -> the argument names its ``WORK`` counter reads as
+    ``args["..."]``."""
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text())
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    work = layers_assignment("WORK")
+    return {key.value: sorted(
+        sub.slice.value for sub in ast.walk(funcs[counter.elts[1].id])
+        if isinstance(sub, ast.Subscript)
+        and getattr(sub.value, "id", None) == "args")
+        for key, counter in zip(work.keys, work.values)}
 
 
 def test_traced_layers_resolve():
@@ -358,6 +378,33 @@ def test_traced_layers_resolve():
         if obj is None:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_traced_work_arguments_exist():
+    # the tracer binds each call's arguments by name to count its work
+    reads = work_arguments()
+    assert reads == {"ou.solve_path": ["epochs", "n_paths"],
+                     "specio.write_csv": ["path"],
+                     "specio.paths_csv_rows": [],
+                     "triplets.centered_exp_integrand": ["points", "zgrid"],
+                     "sampling.sample": ["n"]}
+    missing = []
+    for layer, names in reads.items():
+        module, attr = layer.split(".")
+        fn = getattr(importlib.import_module(f"semiself.{module}"), attr)
+        params = inspect.signature(fn).parameters
+        missing += [f"{layer}({n})" for n in names if n not in params]
+    assert missing == []
+
+
+def test_paths_csv_rows_have_a_length():
+    # the tracer counts rows as len(paths_csv_rows(...)[1])
+    from semiself import ou, specio
+    from semiself import triplets as tp
+    bundle = ou.solve_path(tp.gaussian(1.0), ou.OUConfig(2.0, 1.0), [0.0],
+                           epochs=3, n_paths=5, keep=2)
+    rows = specio.paths_csv_rows(bundle)[1]
+    assert len(rows) == 2 * 4 == len(list(rows))
 
 
 def test_exports_resolve():

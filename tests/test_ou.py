@@ -55,6 +55,35 @@ def test_blockwise_residual_of_solved_paths(cp1):
         assert ou.verify_langevin(bundle) == _whole_array_residual(bundle)
 
 
+def test_streamed_bundle_matches_full_run(cp1):
+    full = ou.solve_path(cp1, CFG, np.full(1, 1.5), epochs=30, n_paths=500,
+                         seed=2)
+    part = ou.solve_path(cp1, CFG, np.full(1, 1.5), epochs=30, n_paths=500,
+                         seed=2, keep=7, snapshots=[4])
+    np.testing.assert_array_equal(part.states, full.states[:7])
+    np.testing.assert_array_equal(part.increments, full.increments[:7])
+    assert part.n_paths == 500 and sorted(part.snapshots) == [0, 4, 30]
+    for k in part.snapshots:
+        np.testing.assert_array_equal(part.at_epoch(k), full.states[:, k])
+    with pytest.raises(ValueError, match="first 7 paths"):
+        part.at_epoch(5)
+    assert ou.verify_langevin(part) == ou.verify_langevin(full) == \
+        _whole_array_residual(full)
+
+
+def test_head_is_the_shorter_run(cp1):
+    # the peaks of the balance identity are kept per epoch, so a head's
+    # residual is the one a run of its own length reports
+    run = ou.solve_path(cp1, CFG, np.zeros(1), epochs=20, n_paths=50, seed=6,
+                        keep=0, snapshots=[8])
+    short = ou.solve_path(cp1, CFG, np.zeros(1), epochs=8, n_paths=50, seed=6)
+    head = run.head(8)
+    np.testing.assert_array_equal(head.terminal, short.terminal)
+    assert ou.verify_langevin(head) == ou.verify_langevin(short) == \
+        _whole_array_residual(short)
+    assert ou.verify_langevin(head) != ou.verify_langevin(run)
+
+
 def test_langevin_residual_allocates_one_block():
     n, K = 20_000, 200
     bundle = ou.PathBundle(CFG, np.ones((n, K + 1, 1)), np.ones((n, K, 1)), 0)
