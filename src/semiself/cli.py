@@ -34,30 +34,20 @@ EXIT_DOMAIN = 3
 EXIT_TOLERANCE = 4
 
 
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise SpecError(message)
-
-
-def _check_shared_flags(args) -> None:
-    """Refuse a span or nested level no subcommand can run with (exit 2)."""
-    b = getattr(args, "b", 2.0)     # verify takes neither flag
-    _require(math.isfinite(b) and b > 1.0 + mp.MIN_SPAN_MARGIN,
-             f"--b must be a finite span above 1 (got {b!r})")
-    for flag in ("level", "m"):
-        level = getattr(args, flag, 0)
-        _require(0 <= level <= nested.M_MAX,
-                 f"--{flag} must lie in 0..{nested.M_MAX} (got {level})")
-
-
-def _check_simulate_flags(args) -> None:
-    """Refuse flag values the recursion cannot run with (exit 2)."""
-    _require(math.isfinite(args.c) and args.c > 0.0,
-             f"--c must be a finite positive epoch rate (got {args.c!r})")
-    _require(args.steps >= 0, f"--steps must be nonnegative (got {args.steps})")
-    _require(args.paths > 0, f"--paths must be positive (got {args.paths})")
-    _require(args.max_export >= 0,
-             f"--max-export must be nonnegative (got {args.max_export})")
+# (flag, what its value must do, the rule): main checks these in order before
+# any spec is read, skipping flags the subcommand does not take
+FLAG_RULES = (
+    ("b", "be a finite span above 1",
+     lambda v: math.isfinite(v) and v > 1.0 + mp.MIN_SPAN_MARGIN),
+    ("level", f"lie in 0..{nested.M_MAX}", lambda v: 0 <= v <= nested.M_MAX),
+    ("m", f"lie in 0..{nested.M_MAX}", lambda v: 0 <= v <= nested.M_MAX),
+    ("c", "be a finite positive epoch rate",
+     lambda v: math.isfinite(v) and v > 0.0),
+    ("steps", "be nonnegative", lambda v: v >= 0),
+    ("paths", "be positive", lambda v: v > 0),
+    ("max-export", "be nonnegative", lambda v: v >= 0),
+    ("tol", "be a finite positive tolerance",
+     lambda v: math.isfinite(v) and v > 0.0))
 
 
 def _parse_grid(text: str, dim: int) -> np.ndarray:
@@ -65,7 +55,7 @@ def _parse_grid(text: str, dim: int) -> np.ndarray:
     try:
         zmax_s, n_s = text.split(":")
         zmax, n = float(zmax_s), int(n_s)
-        if zmax <= 0.0 or n < 2:
+        if not 0.0 < zmax < math.inf or n < 2:
             raise ValueError
     except ValueError:
         raise SpecError(f"bad --grid {text!r}; expected ZMAX:N") from None
@@ -79,6 +69,8 @@ def _parse_init(text: str, dim: int):
         return "limit"
     try:
         vals = np.asarray([float(v) for v in text.split(",")], dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError
     except ValueError:
         raise SpecError(
             f"bad --init {text!r}; expected zero, limit or floats") from None
@@ -205,7 +197,6 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.time()
-    _check_simulate_flags(args)
     noise = specio.load_triplet(args.spec)
     cfg = ou.OUConfig(b=args.b, c=args.c)
     init = _parse_init(args.init, noise.dim)
@@ -233,21 +224,30 @@ def cmd_simulate(args) -> int:
                                keep=args.max_export)
     report["langevin_residual"] = ou.verify_langevin(bundle)
 
-    # terminal ECF against the exact finite-epoch characteristic function
+    # terminal ECF against the exact finite-epoch characteristic function;
+    # a reference that overflows is refused below, not warned about
     zgrid = ou.ecf_grid(noise.dim)
     emp = sp.ecf(bundle.terminal, zgrid)
-    if limit_mode:
-        ref = np.exp(ou.limit_cumulant(noise, cfg, zgrid).values)
-        label = "limit"
-    else:
-        x0 = bundle.at_epoch(0)[0]
-        fin = ou.transition_cumulant(noise, cfg, 0.0,
-                                     bundle.epochs / cfg.c, zgrid, x=x0)
-        ref = np.exp(fin.values)
-        label = "transition"
+    with np.errstate(over="ignore", invalid="ignore"):
+        if limit_mode:
+            ref = np.exp(ou.limit_cumulant(noise, cfg, zgrid).values)
+            label = "limit"
+        else:
+            x0 = bundle.at_epoch(0)[0]
+            fin = ou.transition_cumulant(noise, cfg, 0.0,
+                                         bundle.epochs / cfg.c, zgrid, x=x0)
+            ref = np.exp(fin.values)
+            label = "transition"
+        max_gap = float(np.max(np.abs(emp.values - ref)))
     report["ecf"] = {"reference": label,
-                     "max_gap": float(np.max(np.abs(emp.values - ref))),
+                     "max_gap": max_gap,
                      "conf_radius": emp.conf_radius}
+    gaps = [report["langevin_residual"], max_gap]
+    if args.semistationary:
+        gaps += [shift_rep.marginal_gap, shift_rep.joint_gap]
+    if not np.all(np.isfinite(gaps)):
+        raise ToleranceError("non-finite Langevin residual, ECF gap or shift "
+                             "gap: the states or their reference overflow")
 
     manifest = _manifest(args, {"spec": specio.spec_hash(noise)}, {}, t0)
     mhash = manifest.hash()
@@ -353,7 +353,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     args.argv = argv            # the manifest records the command that ran
     try:
-        _check_shared_flags(args)
+        for flag, rule, ok in FLAG_RULES:
+            value = getattr(args, flag.replace("-", "_"), None)
+            if value is not None and not ok(value):
+                raise SpecError(f"--{flag} must {rule} (got {value!r})")
         return args.func(args)
     except (SpecError, InvalidTripletError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import measures as ms
 from . import triplets as tp
-from .errors import (InvalidTripletError, ToleranceError,
-                     UnsupportedComponentError)
+from .errors import ToleranceError, UnsupportedComponentError
 
 MIN_SPAN_MARGIN = 1e-9
 DEFAULT_TOL = 1e-10
@@ -131,14 +130,10 @@ def forward_cumulant(rho: tp.LevyTriplet, b: float, z, *, m: int = 0,
 
 
 def _tail_sum_segments(seg: ms.Segment) -> list:
-    """Segments of ``m'(i) = sum_{k >= i} m(k)`` for one input segment."""
+    """Segments of ``m'(i) = sum_{k >= i} m(k)`` for one segment of a valid
+    measure, without a power (``canonical_families`` refuses those)."""
     out = []
-    if seg.power:
-        raise UnsupportedComponentError(
-            "power-law lattice segments support cumulant-level maps only")
     if seg.r == 1.0:
-        if seg.kmax == ms.POS_INF:
-            raise InvalidTripletError("constant lattice mass with infinite top range")
         if seg.kmin == ms.NEG_INF:
             # m'(i) = (kmax - i + 1) w grows linearly as i -> -inf: a valid
             # measure (the second iterate of an atom), but no sum of

@@ -446,8 +446,8 @@ def _family_key(direction, frac):
 def canonical_families(levy: LevyMeasure, b: float) -> dict:
     """Sort atoms and lattices into skeleton families for span ``b``.
 
-    Lattice components must already use base ``b``; atoms are converted to
-    single-point segments on the skeleton they fall on.
+    The measure must be valid, and its lattices must already use base ``b``;
+    atoms are converted to single-point segments on the skeleton they fall on.
     """
     logb = math.log(b)
     fams: dict = {}
@@ -469,8 +469,6 @@ def canonical_families(levy: LevyMeasure, b: float) -> dict:
     for comp in levy.components:
         if isinstance(comp, Atoms):
             radii = np.linalg.norm(comp.points, axis=1)
-            if np.any(radii == 0.0):
-                raise InvalidTripletError("mass at origin")
             for x, w, r in zip(comp.points, comp.weights, radii):
                 add(x / r, r, Segment(w=float(w), r=1.0, kmin=0, kmax=0))
         else:

@@ -57,15 +57,14 @@ class EmpiricalCF:
 
 def _segment_upper_points(seg: ms.Segment, lat: ms.ScaleLattice, k_from):
     """Indices >= k_from carrying all but MASS_TOL of the segment mass: to
-    two past the first ``K`` where the ``tail`` of ``r^(k - k_from)`` is."""
+    two past the first ``K`` where the ``tail`` of ``r^(k - k_from)`` is.
+    A valid segment without a power that runs to ``+inf`` has ``r < 1``."""
     if seg.kmin != ms.NEG_INF:
         k_from = max(k_from, int(seg.kmin))
     if seg.kmax != ms.POS_INF:
         if k_from > seg.kmax:
             return np.zeros(0, dtype=int)
         return np.arange(k_from, int(seg.kmax) + 1)
-    if seg.r >= 1.0:
-        raise ToleranceError("segment mass not summable upward")
     unit = ms.Segment(w=1.0, r=seg.r)
     J = ms._first_within(lambda J: ms.tail(lat, unit, J, ms.Envelope(
         0.0, 2, (1.0,))), 0, 1 << 62, MASS_TOL)

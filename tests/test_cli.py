@@ -369,7 +369,11 @@ BAD_FLAGS = [
     ("simulate", "--b", "inf"), ("simulate", "--max-export", "-5"),
     ("map", "--b", "1"), ("check", "--b", "1"), ("check", "--b", "nan"),
     ("check", "--level", "-1"), ("check", "--level", str(nested.M_MAX + 1)),
-    ("map", "--m", "-1"), ("map", "--m", str(nested.M_MAX + 1))]
+    ("map", "--m", "-1"), ("map", "--m", str(nested.M_MAX + 1)),
+    ("map", "--tol", "nan"), ("map", "--tol", "0"), ("map", "--tol", "inf"),
+    ("check", "--tol", "nan"), ("check", "--tol", "-1"),
+    ("map", "--grid", "nan:3"), ("map", "--grid", "inf:3"),
+    ("simulate", "--init", "nan"), ("simulate", "--init", "inf")]
 BASE_FLAGS = {"simulate": ["--paths", "30", "--steps", "3"],
               "map": ["--grid", "3:5"], "check": []}
 
@@ -419,8 +423,9 @@ def test_invalid_spec_exit_2(tmp_path, capsys, command, spec_id):
     assert not out.exists()
 
 
-# a lattice that is both invalid and outside the domain, and one whose mass
-# decays too slowly to bound: each exits alike on every command, because the
+# a lattice that is both invalid and outside the domain, one whose mass
+# decays too slowly to bound, and a constant mass running to +inf that only
+# the validity guard refuses: each exits alike on every command, because the
 # validity guard runs first
 GUARD_ORDER = {
     "divergent-mass": ({"schema": 1, "levy": [{
@@ -429,7 +434,10 @@ GUARD_ORDER = {
     "slow-lattice": ({"schema": 1, "levy": [{
         "kind": "lattice", "direction": [1.0], "base": 2.0, "anchor": 1.0,
         "segments": [{"w": 1.0, "r": 0.999999, "kmin": 1, "kmax": "inf"}]}]},
-        4)}
+        4),
+    "constant-mass-to-inf": ({"schema": 1, "levy": [{
+        "kind": "lattice", "direction": [1.0], "base": 2.0, "anchor": 1.0,
+        "segments": [{"w": 1.0, "r": 1.0, "kmin": 1, "kmax": "inf"}]}]}, 2)}
 GUARD_COMMANDS = {"check": ["check"],
                   "map": ["map", "--grid", "2:3"],
                   "simulate-limit": ["simulate", "--init", "limit",
@@ -594,6 +602,18 @@ def test_map_refuses_non_finite_cumulants(tmp_path, capsys):
     out = tmp_path / "x"
     assert cli.main(["map", spec, "--b", "2", "--grid", "1e308:3",
                      "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("tolerance error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_refuses_non_finite_results(tmp_path, capsys):
+    # a finite start whose <z, x> overflows the transition reference
+    spec = write_spec(tmp_path, "g.json", GAUSS)
+    out = tmp_path / "x"
+    assert cli.main(["simulate", spec, "--b", "2", "--init", "1e308",
+                     "--paths", "10", "--steps", "3", "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("tolerance error: ") and err.count("\n") == 1
     assert not out.exists()
