@@ -32,6 +32,7 @@ EXIT_VERDICT = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_TOLERANCE = 4
+MAX_GRID_POINTS = 10_000    # N times the dimension, for map --grid ZMAX:N
 
 
 # (flag, what its value must do, the rule): main checks these in order before
@@ -59,6 +60,10 @@ def _parse_grid(text: str, dim: int) -> np.ndarray:
             raise ValueError
     except ValueError:
         raise SpecError(f"bad --grid {text!r}; expected ZMAX:N") from None
+    if n * dim > MAX_GRID_POINTS:
+        raise ToleranceError(
+            f"--grid {text} asks for {n * dim} points (N times the dimension "
+            f"{dim}), above the cap of {MAX_GRID_POINTS}")
     return mp.default_grid(dim, zmax=zmax, n=n)
 
 
@@ -77,6 +82,37 @@ def _parse_init(text: str, dim: int):
     if vals.shape != (dim,):
         raise SpecError(f"--init needs {dim} coordinates")
     return vals
+
+
+def _require_resolvable_start(x0: np.ndarray, b: float, steps: int,
+                              zmax: float, paths: int) -> None:
+    """Refuse a start so large that float rounding of the terminal ECF
+    phases is not small against the Monte Carlo radius ``conf_radius``.
+
+    With ``u = 2^-53``, ``n = steps`` and ``d`` coordinates, the start's part
+    of the terminal state is ``b^-n x0``.  Each epoch's ``(Z + dX) / b``
+    rounds twice, each time by at most ``u b^-k |x0_i|`` in coordinate
+    ``i`` at epoch ``k``, and the later epochs shrink that by ``b^-(n-k)``:
+    ``Z_n`` is off by at most ``2 n u b^-n |x0_i|``.  With
+    ``Phi = zmax b^-n ||x0||_1`` (``zmax`` the largest ``|z_i|`` of the ECF
+    grid), the empirical phase ``<z, Z_n>`` is then off by ``2 n u Phi``,
+    plus ``d u Phi`` for its own products and sums.  The reference phase
+    ``b^-n <z, x0>`` is off by ``d u Phi`` for the product, plus ``u Phi``
+    each for the scaling by ``b^-n`` and the addition of the kicks.  Since
+    ``|e^{ia} - e^{ia'}| <= |a - a'|``, the ECF gap moves by at most
+    ``2 (n + d + 1) u Phi``, to first order in ``u`` and leaving out the
+    rounding of the kicks' own, bounded phases.  That must stay within a
+    tenth of the radius."""
+    d = x0.size
+    # python floats: a start near the float limit gives inf, not a warning
+    phi = zmax * b ** -float(steps) * sum(abs(float(v)) for v in x0)
+    drift = 2.0 * (steps + d + 1) * 2.0 ** -53 * phi
+    allowed = sp.conf_radius(paths) / 10.0
+    if not drift <= allowed:
+        raise ToleranceError(
+            f"--init too large to check: rounding can move the ECF gap by "
+            f"{drift:.3g}, more than {allowed:.3g} (a tenth of its radius); "
+            f"use a smaller start or more --steps")
 
 
 def _manifest(args, spec_hashes: dict, tolerances: dict,
@@ -202,6 +238,10 @@ def cmd_simulate(args) -> int:
     init = _parse_init(args.init, noise.dim)
 
     limit_mode = isinstance(init, str) or args.semistationary
+    zgrid = ou.ecf_grid(noise.dim)
+    if not limit_mode:
+        _require_resolvable_start(init, args.b, args.steps,
+                                  float(np.max(np.abs(zgrid))), args.paths)
 
     report: dict = {"b": args.b, "c": args.c, "steps": args.steps,
                     "paths": args.paths, "seed": args.seed}
@@ -226,7 +266,6 @@ def cmd_simulate(args) -> int:
 
     # terminal ECF against the exact finite-epoch characteristic function;
     # a reference that overflows is refused below, not warned about
-    zgrid = ou.ecf_grid(noise.dim)
     emp = sp.ecf(bundle.terminal, zgrid)
     with np.errstate(over="ignore", invalid="ignore"):
         if limit_mode:

@@ -22,9 +22,6 @@ from .errors import ToleranceError, UnsupportedComponentError
 
 MIN_SPAN_MARGIN = 1e-9
 DEFAULT_TOL = 1e-10
-CLASSIC_TOL = 1e-9   # error estimate allowed to the classical map
-CLASSIC_PANELS = 128  # dyadic panels of its quadrature, down to u = 2^-128
-CLASSIC_CALLS = 1024  # cumulant calls of its quadrature
 MAX_SERIES_TERMS = 100_000
 
 
@@ -325,63 +322,3 @@ def is_semi_selfdecomposable(mu: tp.LevyTriplet, b: float,
         violations=inv.violations, max_residual=rep.max_residual,
         residual_tol=tol)
 
-
-# ---------------------------------------------------------------------------
-# the classical (continuous) selfdecomposable map, used for cross-checks
-
-
-def classic_selfdecomposable_cumulant(mu0: tp.LevyTriplet, z) -> complex:
-    """``integral_0^inf C_mu0(e^{-t} z) dt = integral_0^1 C_mu0(u z) du / u``
-    over the dyadic panels ``[2^-j-1, 2^-j]``, summed from the smallest once
-    the geometric remainder of the panels is below an ulp of their sum.  A
-    panel takes 20-point Gauss-Legendre, on halves wherever it is more than
-    CLASSIC_TOL / 256 from the 10-point rule.  The error estimate adds those
-    gaps, the cumulant bounds and the remainder; ToleranceError when it
-    exceeds CLASSIC_TOL or the CLASSIC_CALLS cumulant calls run out."""
-    ms.require_log_moment(mu0.levy)
-    zv = np.atleast_1d(np.asarray(z, dtype=float))
-    (x20, w20), (x10, w10) = (np.polynomial.legendre.leggauss(n)
-                              for n in (20, 10))
-    x = np.concatenate([x20, x10]) / 2.0 + 0.5      # both rules on [0, 1]
-    w = np.concatenate([w20, w10]) / 2.0
-    unsettled = f"classical map quadrature did not settle to {CLASSIC_TOL:g}"
-    panels, err, rest, calls = [], 0.0, math.inf, 0
-    for j in range(CLASSIC_PANELS):
-        # panel j is u = 2^-j s with s in [1/2, 1], where du / u = ds / s
-        p, todo = 0.0, [(0.5, 1.0)]
-        while todo:
-            a, b = todo.pop()
-            s = a + (b - a) * x
-            # a law with a mean settles in about 55 panels: their bounds
-            # sum to below CLASSIC_TOL
-            c = tp.cumulant(mu0, np.ldexp(s, -j)[:, None] * zv,
-                            tol=CLASSIC_TOL / 64.0)
-            f = (b - a) * w * c.values / s
-            gap = abs(np.sum(f[:20]) - np.sum(f[20:]))
-            bound = math.log(b / a) * c.err_bound[0]   # halves keep its sum
-            calls += 1
-            if calls == CLASSIC_CALLS or err + bound > CLASSIC_TOL:
-                raise ToleranceError(unsettled)
-            if gap > CLASSIC_TOL / 256.0:
-                todo += [(a, 0.5 * (a + b)), (0.5 * (a + b), b)]
-            else:
-                p += np.sum(f[:20])
-                err += gap + bound
-        if panels:
-            q = abs(p) / abs(panels[-1]) if panels[-1] else 0.0
-            rest = abs(p) * q / (1.0 - q) if q < 1.0 else math.inf
-        panels.append(p)
-        if rest <= 2.0 ** -53 * abs(sum(panels)):
-            break
-    if not err + rest <= CLASSIC_TOL:
-        raise ToleranceError(unsettled)
-    return complex(sum(reversed(panels)))
-
-
-def period_function(b: float, t) -> np.ndarray:
-    """The bounded log-b-periodic profile g with ``e^{-t} g(t) = b^{-[t/log b]}``."""
-    b = check_span(b)
-    t = np.asarray(t, dtype=float)
-    frac = t / math.log(b) - np.floor(t / math.log(b))
-    out = b ** frac
-    return out if out.ndim else float(out)

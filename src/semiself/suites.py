@@ -113,16 +113,6 @@ def suite_core(seed: int = 42) -> dict:
     checks.append(_check("unit_poisson_not_member",
                          not mp.is_semi_selfdecomposable(pu, 2.0).verdict, 0.0))
 
-    v = mp.classic_selfdecomposable_cumulant(tp.gaussian(2.0), 1.5)
-    gap = abs(v - (-0.25 * 2.0 * 1.5 ** 2))
-    checks.append(_check("classic_map_gaussian", gap < 1e-8, gap))
-
-    t = np.linspace(0.0, 5.0 * math.log(2.0), 64)
-    gfun = mp.period_function(2.0, t)
-    gap = float(np.max(np.abs(np.exp(-t) * gfun -
-                              2.0 ** (-np.floor(t / math.log(2.0))))))
-    checks.append(_check("period_function_identity", gap < 1e-12, gap))
-
     return {"suite": "core", "seed": seed, "checks": checks,
             "pass": all(c["pass"] for c in checks)}
 

@@ -175,7 +175,7 @@ def test_criterion_09_domain_boundaries(tmp_path):
 # sha256 of the seed-42 verify summary without its manifest: it pins every
 # ECF gap and confidence radius the suites report
 VERIFY_ALL_42_SHA = \
-    "a02a88e6c61db0129854b437a00fec725c76fb7806e8c01e0e94167e7749df7f"
+    "cfc1b9c5b40072a5561aa395304e036747fbdefe2445177d63a56d00b276237e"
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -270,6 +270,13 @@ GOLDEN = {
                  "--max-export", "450", "--seed", "13"],
         "319ae629064ed45e5d1350f836738102ebe537ac6ae2726fcf068add78f6fb4a",
         "6dbe455e71863d9dc1573b84029a9348fb1ced281502da0e199cf018e45e7b42"),
+    # a large start that the ECF rounding check lets run, byte for byte as
+    # it ran before the check
+    "init-1e12": (
+        GAUSS, ["--b", "2", "--steps", "3", "--paths", "2000", "--init", "1e12",
+                "--max-export", "50", "--seed", "1"],
+        "38efc914730288c498185a6b895e0fdc879283c11551db851e8b34bec0076f6d",
+        "346deb89a7afbafbf851f5aad7518af1031694c4b2951a3e70739c6cfa227b24"),
 }
 
 
@@ -617,6 +624,47 @@ def test_simulate_refuses_non_finite_results(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("tolerance error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("init", ["1e16", "1e17"])
+def test_simulate_refuses_a_start_its_ecf_check_cannot_resolve(
+        tmp_path, capsys, init):
+    # at 3 epochs of span 2 the terminal phases reach 4e15 and 4e16, where
+    # their rounding moves the ECF gap from 0.028 to 0.086 and 0.73, past
+    # the radius 0.067
+    spec = write_spec(tmp_path, "g.json", GAUSS)
+    out = tmp_path / "x"
+    assert cli.main(["simulate", spec, "--b", "2", "--init", init,
+                     "--paths", "2000", "--steps", "3", "--seed", "1",
+                     "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("tolerance error: --init") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_map_refuses_a_grid_above_the_cap(tmp_path, capsys, monkeypatch):
+    # refused before the grid is built: N times the dimension counts
+    def no_grid(*args, **kwargs):
+        raise AssertionError("default_grid ran")
+
+    monkeypatch.setattr(mp, "default_grid", no_grid)
+    cap = cli.MAX_GRID_POINTS
+    for spec_obj, n in ((GAUSS, cap + 1), (GAUSS2, cap // 2 + 1)):
+        spec = write_spec(tmp_path, "s.json", spec_obj)
+        out = tmp_path / "x"
+        assert cli.main(["map", spec, "--b", "2", "--grid", f"5:{n}",
+                         "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("tolerance error: --grid") and \
+            err.count("\n") == 1 and f"cap of {cap}" in err
+        assert not out.exists()
+
+
+def test_grid_at_the_cap_is_built():
+    assert cli._parse_grid(f"5:{cli.MAX_GRID_POINTS}", 1).shape == \
+        (cli.MAX_GRID_POINTS, 1)
+    assert cli._parse_grid(f"5:{cli.MAX_GRID_POINTS // 2}", 2).shape == \
+        (cli.MAX_GRID_POINTS, 2)
 
 
 # one command of each kind on a law with nonnegative factors at every level,

@@ -44,6 +44,44 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def unread_constants(sources: dict) -> list:
+    """``module.NAME`` for each module-level UPPER_CASE name that no source
+    reads, as a name or an attribute, outside its own assignment."""
+    trees = {m: ast.parse(s) for m, s in sources.items()}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            defined += [(module, t.id, set(map(id, ast.walk(node))))
+                        for t in targets if isinstance(t, ast.Name)
+                        and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)]
+    reads = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reads.setdefault(n.id, set()).add(id(n))
+            elif isinstance(n, ast.Attribute):
+                reads.setdefault(n.attr, set()).add(id(n))
+    return sorted(f"{module}.{name}" for module, name, own in defined
+                  if not reads.get(name, set()) - own)
+
+
+def test_unread_constants_are_detected():
+    lib = ("A = 1\nB = 2\nC = C_OLD = 3\nD: int = 4\nE = E + 1\n"
+           "lower = 5\ndef f():\n    F = 6\n    return B + F\n")
+    user = "import lib\nprint(lib.C, D)\n"
+    assert unread_constants({"lib": lib, "user": user}) == [
+        "lib.A", "lib.C_OLD", "lib.E"]
+
+
+def test_every_constant_is_read():
+    # deleting a function must not strand its tuning constants
+    assert unread_constants({p.stem: p.read_text()
+                             for p in sorted(SRC.glob("*.py"))}) == []
+
+
 def modules_naming(name: str) -> set:
     """Source modules that mention ``name`` as a name, an attribute or a
     string (``object.__setattr__`` takes it as a string)."""

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -9,7 +8,7 @@ from semiself import measures as ms
 from semiself import nested as nt
 from semiself import suites
 from semiself import triplets as tp
-from semiself.errors import DomainError, InvalidTripletError, ToleranceError
+from semiself.errors import DomainError, InvalidTripletError
 
 
 def test_check_span_rejects_unit():
@@ -95,97 +94,6 @@ def test_membership_of_mapped_law(cp1):
     z = np.linspace(-3.0, 3.0, 7)
     np.testing.assert_allclose(tp.cumulant(cert.factor, z).values,
                                tp.cumulant(cp1, z).values, atol=1e-9)
-
-
-def test_classic_selfdecomposable_gaussian():
-    # integral_0^inf -(A/2)(e^-t z)^2 dt = -A z^2 / 4
-    v = mp.classic_selfdecomposable_cumulant(tp.gaussian(2.0), 1.5)
-    assert v == pytest.approx(-0.25 * 2.0 * 1.5 ** 2, abs=1e-8)
-
-
-def _classic_reference(points, masses, gauss, drift, z):
-    """``integral_0^1 C(u z) du / u`` in mpmath, atom by atom in closed form:
-    ``integral_0^1 (e^{i a u} - 1 - i a u / (1 + |x|^2)) du / u
-    = -Cin(a) + i (Si(a) - a / (1 + |x|^2))`` with ``a = <z, x>``."""
-    z = [mpmath.mpf(float(v)) for v in np.atleast_1d(z)]
-    A = np.atleast_2d(gauss)
-    total = mpmath.mpc(-sum(z[i] * float(A[i, j]) * z[j] for i in range(len(z))
-                            for j in range(len(z))) / 4,
-                       sum(zi * float(g) for zi, g in zip(z, drift)))
-    for x, m in zip(points, masses):
-        phase = sum(zi * xi for zi, xi in zip(z, x))
-        a, sign = abs(phase), mpmath.sign(phase)
-        if a < 1:   # power series: no cancellation at tiny phases
-            cin = mpmath.nsum(lambda n: (-1) ** (n + 1) * a ** (2 * n)
-                              / (2 * n * mpmath.factorial(2 * n)), [1, mpmath.inf])
-            si = mpmath.nsum(lambda n: (-1) ** n * a ** (2 * n + 1)
-                             / ((2 * n + 1) * mpmath.factorial(2 * n + 1)),
-                             [0, mpmath.inf])
-        else:
-            cin, si = mpmath.euler + mpmath.log(a) - mpmath.ci(a), mpmath.si(a)
-        total += m * mpmath.mpc(-cin, sign * (si - a / (1 + sum(v * v for v in x))))
-    return complex(total)
-
-
-def _lattice_atoms(anchor, direction, seg, klo, khi):
-    """The atoms of a base-2 lattice segment over ``klo..khi``, in mpmath."""
-    d = [mpmath.mpf(v) for v in direction]
-    norm = mpmath.sqrt(sum(v * v for v in d))
-    points = [[anchor * mpmath.mpf(2) ** k * v / norm for v in d]
-              for k in range(klo, khi + 1)]
-    return points, [seg.w * mpmath.mpf(seg.r) ** k for k in range(klo, khi + 1)]
-
-
-def _classic_cases():
-    pu = tp.poisson_unit()
-    yield pytest.param(pu, lambda: ([[1]], [1], pu.gauss, pu.drift), 1.5,
-                       id="poisson-unit")
-    # masses below radius 8 only, so C is entire; and masses up to radius
-    # infinity, where C has 2.3 derivatives (log 5 / log 2) and the panels
-    # near u = 1 must be halved.  The references drop masses of relative
-    # size (r b^2)^-160 = 2.4^-160 and 0.2^60
-    for seg, klo, khi, name in (
-            (ms.Segment(w=0.8, r=0.6, kmax=3), -160, 3, "small-jumps"),
-            (ms.Segment(w=0.8, r=0.2, kmin=-1), -1, 60, "large-jumps")):
-        lat = ms.ScaleLattice([1.0], 2.0, (seg,), anchor=1.3)
-        geo = tp.LevyTriplet(np.zeros((1, 1)), ms.LevyMeasure((lat,)),
-                             np.array([0.1]))
-        yield pytest.param(
-            geo, lambda seg=seg, klo=klo, khi=khi, geo=geo: _lattice_atoms(
-                1.3, [1.0], seg, klo, khi) + (geo.gauss, geo.drift), 1.5,
-            id=f"geometric-base-2-{name}")
-    A = np.array([[1.0, 0.3], [0.3, 0.5]])
-    cp = tp.compound_poisson([[1.0, -0.5], [0.3, 2.0]], [0.7, 1.2],
-                             drift=[0.2, -0.1])
-    two = tp.LevyTriplet(A, cp.levy, cp.drift)
-    yield pytest.param(two, lambda: ([[1.0, -0.5], [0.3, 2.0]], [0.7, 1.2], A,
-                                     cp.drift), np.array([1.1, -0.7]),
-                       id="two-dim")
-
-
-@pytest.mark.parametrize("mu,atoms,z", _classic_cases())
-def test_classic_map_matches_mpmath(mu, atoms, z):
-    v = mp.classic_selfdecomposable_cumulant(mu, z)
-    with mpmath.workdps(40):
-        assert abs(v - _classic_reference(*atoms(), z)) < 1e-9
-
-
-def test_classic_map_refuses_an_unsettled_quadrature():
-    # the EDGE lattice k^-3 at radii 2^k: its cumulant windows end at radius
-    # e^700 with a remainder far above the quadrature's budget
-    lat = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=1.0, r=1.0, kmin=1,
-                                                  power=3),))
-    edge = tp.LevyTriplet(np.zeros((1, 1)), ms.LevyMeasure((lat,)),
-                          np.zeros(1))
-    with pytest.raises(ToleranceError):
-        mp.classic_selfdecomposable_cumulant(edge, 1.5)
-
-
-def test_period_function_identity():
-    t = np.linspace(0.0, 5.0 * math.log(2.0), 64)
-    g = mp.period_function(2.0, t)
-    want = 2.0 ** (-np.floor(t / math.log(2.0)))
-    np.testing.assert_allclose(np.exp(-t) * g, want, atol=1e-12)
 
 
 def test_default_grid_shape():

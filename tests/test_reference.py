@@ -163,8 +163,8 @@ def test_repeated_index_of_two_segments_reduces_to_one_float():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "the rounding of each e^{iu} - 1 times masses that grow as k falls is "
-    "in no err_bound (ROADMAP item 2)"))
+    "the cancellation in each e^{iu} - 1, times masses that grow as k "
+    "falls, is in no err_bound (ROADMAP 1(a))"))
 def test_cumulant_bound_holds_on_a_plain_2d_lattice():
     # masses 0.5 * 2^-k for k <= 2 on direction (1, 2): each term's float
     # rounding, about 1e-16, is multiplied by masses up to 2^200
