@@ -333,26 +333,25 @@ def validate_limit(noise: tp.LevyTriplet, cfg: OUConfig, n: int = DEFAULT_N,
     checks = {max(1, LIMIT_EPOCHS - 1 - 2 * i)
               for i in range(STATIONARY_CHECKS)}
 
-    def terminal(init, sd):
-        # keeps the snapshot epochs only, never the whole state array
+    def ecf_vals(Z):
+        return sp.ecf(Z, zgrid).values
+
+    def terminal(init, sd, gaps=None):
+        # each checked epoch's ECF gap is taken as the recursion passes it
         Z = _resolve_init(init, n, d)
-        snaps = {}
         steps = _recursion(sampler, cfg, Z, LIMIT_EPOCHS, sd)
         for k, (_, Z) in enumerate(steps, 1):
-            if k in checks:
-                snaps[k] = Z
-        return Z, snaps
+            if gaps is not None and k in checks:
+                gaps.append(float(np.max(np.abs(ecf_vals(Z) - phi_lim))))
+        return Z
 
     m2 = np.full(d, 2.0)
-    Z1, _ = terminal(np.zeros(d), seed)
-    Z2, _ = terminal(m2, seed + 1)
+    Z1 = terminal(np.zeros(d), seed)
+    Z2 = terminal(m2, seed + 1)
 
     horizon = LIMIT_EPOCHS / cfg.c
     fin1 = transition_cumulant(noise, cfg, 0.0, horizon, zgrid, x=np.zeros(d))
     fin2 = transition_cumulant(noise, cfg, 0.0, horizon, zgrid, x=m2)
-
-    def ecf_vals(Z):
-        return sp.ecf(Z, zgrid).values
 
     e1, e2 = ecf_vals(Z1), ecf_vals(Z2)
     gap1 = float(np.max(np.abs(e1 - np.exp(fin1.values))))
@@ -362,9 +361,8 @@ def validate_limit(noise: tp.LevyTriplet, cfg: OUConfig, n: int = DEFAULT_N,
 
     init_batch = sample_limit_law(noise, cfg, n, seed + 2,
                                   zmax=float(np.max(np.linalg.norm(zgrid, axis=1))))
-    _, snaps = terminal(init_batch, seed + 3)
-    stat_gaps = tuple(float(np.max(np.abs(ecf_vals(S) - phi_lim)))
-                      for _, S in sorted(snaps.items()))
+    stat_gaps = []
+    terminal(init_batch, seed + 3, stat_gaps)
     bias = float(init_batch.metadata["tail_bound"])
 
     ok = (gap1 <= radius + limit_gap and gap2 <= radius + limit_gap
@@ -372,7 +370,8 @@ def validate_limit(noise: tp.LevyTriplet, cfg: OUConfig, n: int = DEFAULT_N,
           and all(g <= radius + bias for g in stat_gaps))
     return LimitReport(grid=zgrid, ecf_gap_first=gap1, ecf_gap_second=gap2,
                        start_gap=start_gap, limit_gap=limit_gap,
-                       stationary_gaps=stat_gaps, conf_radius=radius, ok=ok)
+                       stationary_gaps=tuple(stat_gaps), conf_radius=radius,
+                       ok=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +416,14 @@ def _limit_start_run(noise: tp.LevyTriplet, cfg: OUConfig, times, shift: float,
         return (bundle.state_at(t) @ np.ones(d))[:, None]
 
     def joint(pair_t):
-        # E exp(i (z1 Z_{t1} + z2 Z_{t2})) over a small z1 x z2 grid, summed
-        # by broadcasting: as an sp.ecf matmul the last bits would move
+        # E exp(i (z1 Z_{t1} + z2 Z_{t2})) over a small z1 x z2 grid, with
+        # broadcast phases: as an sp.ecf matmul the last bits would move
         s1, s2 = line(pair_t[0]), line(pair_t[1])
-        ph = zv[None, :, None] * s1[:, :, None] + zv[None, None, :] * s2[:, :, None]
-        return np.mean(sp.expi(ph), axis=0)
+
+        def phases(i, j):
+            return (zv[None, :, None] * s1[i:j, :, None]
+                    + zv[None, None, :] * s2[i:j, :, None])
+        return sp._mean_expi(phases, n, zv.size ** 2)
 
     marg_gap = 0.0
     for t in times:
@@ -502,7 +504,8 @@ def divergence_diagnostic(noise: tp.LevyTriplet, cfg: OUConfig, z0, times,
     for k in ks:
         diff = bundle.at_epoch(k) - bundle.at_epoch(k - 1)
         # not sp.ecf, which would reassociate the product b * (diff @ z0)
-        ests.append(abs(complex(np.mean(sp.expi(cfg.b * (diff @ z0))))))
+        ph = cfg.b * (diff @ z0)
+        ests.append(abs(complex(sp._mean_expi(lambda i, j: ph[i:j], n, 1))))
     radius = sp.conf_radius(n)
     ok = all(e <= bound + radius for e in ests)
     return DivergenceReport(z0=z0, times=times, estimates=tuple(ests),

@@ -249,26 +249,40 @@ def expi(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mean_expi(phases, n: int, width: int):
+    """``np.mean(expi(phases(0, n)), axis=0)`` bit for bit, with the phases
+    of draws ``i:j`` formed by ``phases(i, j)`` one block at a time.
+
+    That mean sums rows of ``width > 1`` phases row after row, so its sum
+    is continued here from the running total over blocks of ``ECF_BLOCK``
+    draws; a single column it sums pairwise, so that is summed whole.  No
+    block has one row unless ``n`` is 1 (see ``ecf``).
+    """
+    step = ECF_BLOCK if width > 1 else n
+    total = None
+    i = 0
+    while i < n:
+        j = n if n - i <= step + 1 else i + step
+        terms = expi(phases(i, j))
+        if total is not None:
+            terms = np.concatenate([total[None], terms])
+        total = np.add.reduce(terms, axis=0)
+        i = j
+    return total / n
+
+
 def ecf(values: np.ndarray, grid) -> EmpiricalCF:
     """Empirical characteristic function of the ``(n, d)`` draws ``values``
     on a grid, with the radius ``conf_radius(n)``.
 
-    It equals ``np.mean(expi(values @ grid.T), axis=0)`` bit for bit without
-    its ``(n, m)`` complex temporary.  That mean sums an ``(n, m > 1)`` array
-    row after row, so its sum is continued here from the running total over
-    blocks of ``ECF_BLOCK`` draws; one column it sums pairwise, so that is
-    summed whole.  The phases come from one product: split into blocks, its
-    last bits would move.
+    It equals ``np.mean(expi(values @ grid.T), axis=0)`` bit for bit, with
+    no ``(n, m)`` array: ``_mean_expi`` forms the product block by block.
+    Its blocks never have one row unless ``n`` is 1, because numpy forms a
+    ``(1, d) @ (d, m)`` product by another path, whose last bits differ for
+    ``d >= 2``.
     """
     zgrid = tp._as_grid(grid, values.shape[1])
     n = values.shape[0]
     radius = conf_radius(n)
-    phases = values @ zgrid.T
-    step = ECF_BLOCK if zgrid.shape[0] > 1 else n
-    total = None
-    for i in range(0, n, step):
-        terms = expi(phases[i:i + step])
-        if total is not None:
-            terms = np.concatenate([total[None], terms])
-        total = np.add.reduce(terms, axis=0)
-    return EmpiricalCF(grid=zgrid, values=total / n, conf_radius=radius)
+    vals = _mean_expi(lambda i, j: values[i:j] @ zgrid.T, n, zgrid.shape[0])
+    return EmpiricalCF(grid=zgrid, values=vals, conf_radius=radius)

@@ -96,6 +96,23 @@ def test_langevin_residual_allocates_one_block():
     assert peak < 8 * 2 ** 20      # the whole-array formula takes ~128 MB
 
 
+@pytest.mark.parametrize("check", [
+    lambda: ou.validate_limit(tp.gaussian(1.0), CFG, n=20_000, seed=0),
+    lambda: ou.shift_invariance_gap(tp.poisson_unit(), CFG, (0.9, 1.0), 1.0,
+                                    n=20_000, seed=0)],
+    ids=["validate_limit", "shift_invariance_gap"])
+def test_monte_carlo_checks_hold_no_phase_array(check):
+    np.random.default_rng(0)           # numpy.random is imported untraced
+    tracemalloc.start()
+    try:
+        check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 1.6 MB; whole (n, m) phase arrays and five kept states took 5 MB
+    assert peak < 2.5 * 2 ** 20
+
+
 def test_closed_form_matches_recursion(cp1):
     bundle = ou.solve_path(cp1, CFG, np.full(1, 1.5), epochs=40,
                            n_paths=20, seed=3)
