@@ -47,6 +47,7 @@ FLAG_RULES = (
     ("steps", "be nonnegative", lambda v: v >= 0),
     ("paths", "be positive", lambda v: v > 0),
     ("max-export", "be nonnegative", lambda v: v >= 0),
+    ("seed", "be nonnegative", lambda v: v >= 0),
     ("tol", "be a finite positive tolerance",
      lambda v: math.isfinite(v) and v > 0.0))
 
@@ -196,7 +197,12 @@ def cmd_check(args) -> int:
     t0 = time.time()
     mu = specio.load_triplet(args.spec)
     if args.semistable:
-        fit = nested.is_semi_stable(mu, args.b, tol=args.tol)
+        # a non-finite fit is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit = nested.is_semi_stable(mu, args.b, tol=args.tol)
+        if not np.all(np.isfinite([fit.a, *fit.c, fit.max_residual])):
+            raise ToleranceError("semi-stable fit has a non-finite scale, "
+                                 "linear term or residual; use a smaller --b")
         verdict = fit.verdict
         cert = {"kind": "semistable", "b": fit.b, "verdict": verdict,
                 "a": fit.a, "alpha": fit.alpha if fit.a > 0 else None,
@@ -233,6 +239,10 @@ def cmd_check(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.time()
+    # the latest time either mode forms is max(steps, 2) epochs
+    if not math.isfinite(max(args.steps, 2) / args.c):
+        raise SpecError(f"--c {args.c!r} is too small: the time of "
+                        f"{max(args.steps, 2)} epochs is not finite")
     noise = specio.load_triplet(args.spec)
     cfg = ou.OUConfig(b=args.b, c=args.c)
     init = _parse_init(args.init, noise.dim)

@@ -201,8 +201,7 @@ def forward_triplet(rho: tp.LevyTriplet, b: float,
         shift, _ = ms.sum_over_measure(
             rho.levy, centering_series,
             envelope=ms.Envelope(1.0 / (1.0 - 1.0 / b), 3,
-                                 (3.0 / (1.0 - 1.0 / b),)),
-            tol=tol, out_shape=(rho.dim,), dtype=float)
+                                 (3.0 / (1.0 - 1.0 / b),)), tol=tol)
         gamma_out = gamma_out + shift
 
     return tp._inherit_valid(tp.LevyTriplet(A_out, levy_out, gamma_out), rho)
@@ -254,9 +253,8 @@ def inverse_factor(mu: tp.LevyTriplet, b: float,
             return scaled * (1.0 / (1.0 + s2) - 1.0 / (1.0 + n2))[:, None]
 
         T, _ = ms.sum_over_measure(
-            mu.levy, pushforward_centering,
-            envelope=ms.Envelope((1.0 - b ** (-2)) / b, 3, (b,), decay=1),
-            tol=tol, out_shape=(mu.dim,), dtype=float)
+            mu.levy, pushforward_centering, tol=tol,
+            envelope=ms.Envelope((1.0 - b ** (-2)) / b, 3, (b,), decay=1))
         gamma_rho = gamma_rho - T
 
     rho = tp._inherit_valid(tp.LevyTriplet(A_rho, levy_rho, gamma_rho), mu,

@@ -262,42 +262,42 @@ def _segment_window(lat: ScaleLattice, seg: Segment, env: Envelope, tol):
     return klo, khi, tail_lo + tail(lat, seg, khi, env)
 
 
-def _enumerate_component(lat: ScaleLattice, env: Envelope, tol):
-    """All lattice points needed to evaluate an integrand within ``tol``."""
+def _enumerate_component(comp, env: Envelope, tol):
+    """``(points, masses, lattice indices, window tail)`` of a component,
+    the one walk over a measure: atoms with no indices and no tail, or each
+    lattice point needed to integrate a function under ``env`` within
+    ``tol``."""
+    if isinstance(comp, Atoms):
+        return comp.points, comp.weights, None, 0.0
     ks, masses, err = [np.zeros(0, dtype=int)], [np.zeros(0)], 0.0
-    for seg in lat.segments:
-        klo, khi, tail_bound = _segment_window(lat, seg, env, tol)
+    for seg in comp.segments:
+        klo, khi, tail_bound = _segment_window(comp, seg, env, tol)
         ks.append(np.arange(klo, khi + 1))
         masses.append(seg.mass(ks[-1]))
         err += tail_bound
     ks = np.concatenate(ks)
-    return lat.radius(ks), np.concatenate(masses), ks, err
+    points = comp.radius(ks)[:, None] * comp.direction[None, :]
+    return points, np.concatenate(masses), ks, err
 
 
 # ---------------------------------------------------------------------------
 # generic integration against a measure
 
 
-def sum_over_measure(levy: LevyMeasure, f, *, envelope: Envelope, tol,
-                     out_shape=(), dtype=complex):
+def sum_over_measure(levy: LevyMeasure, f, *, envelope: Envelope, tol):
     """Evaluate ``integral f(x) nu(dx)`` with an error bound.
 
-    ``f(points)`` maps an ``(n, d)`` array to ``(n,) + out_shape``, and
-    ``envelope`` must dominate ``|f|``.  Cumulants, whose phases need the
-    lattice indices, are summed by ``triplets.jump_series`` instead.
+    ``f(points)`` maps an ``(n, d)`` array to ``(n,) + shape``, the shape of
+    the total, and ``envelope`` must dominate ``|f|``.  Cumulants, whose
+    phases need the lattice indices, are summed by ``triplets.jump_series``
+    instead.
     """
-    total = np.zeros(out_shape, dtype=dtype)
-    err = 0.0
+    total, err = 0.0, 0.0
     for comp in levy.components:
-        if isinstance(comp, Atoms):
-            vals = f(comp.points)
-            total = total + np.tensordot(comp.weights, vals, axes=(0, 0))
-        else:
-            r, m, _, tail_bound = _enumerate_component(comp, envelope, tol)
-            if r.size:
-                vals = f(r[:, None] * comp.direction[None, :])
-                total = total + np.tensordot(m, vals, axes=(0, 0))
-            err += tail_bound
+        pts, masses, _, tail_bound = _enumerate_component(comp, envelope, tol)
+        if masses.size:
+            total = total + np.tensordot(masses, f(pts), axes=(0, 0))
+        err += tail_bound
     return total, err
 
 
@@ -344,7 +344,7 @@ def square_one_integral(levy: LevyMeasure) -> float:
         return np.minimum(n2, 1.0)
 
     v, _ = sum_over_measure(levy, f, envelope=Envelope(1.0, 2, (1.0,)),
-                            tol=1e-10, out_shape=(), dtype=float)
+                            tol=1e-10)
     return float(v)
 
 

@@ -166,7 +166,7 @@ _TWO_PI_STR = ("6.28318530717958647692528676655900576839433879875021164194988918
 
 
 def _reduced_phases(u: np.ndarray, zbase: np.ndarray, lattice,
-                    arg_pow=None) -> np.ndarray:
+                    arg_pow=(1.0, 0)) -> np.ndarray:
     """Replace entries of the phase matrix ``u[i, j] ~ <z_j, x_i>`` that are
     too large for double precision with ``beta_j * base**k_i mod 2 pi``
     computed in high-precision decimal arithmetic.
@@ -188,9 +188,8 @@ def _reduced_phases(u: np.ndarray, zbase: np.ndarray, lattice,
     ks = ks[rows]
     zdir = zbase @ comp.direction
     digits = math.log10(comp.anchor * float(np.max(np.abs(zdir[cols])))) \
-        + int(ks.max()) * math.log10(comp.base)
-    if arg_pow is not None:
-        digits += int(arg_pow[1]) * math.log10(arg_pow[0])
+        + int(ks.max()) * math.log10(comp.base) \
+        + int(arg_pow[1]) * math.log10(arg_pow[0])
     prec = GUARD_DIGITS + max(int(digits) + 1, 0)
     if prec > len(_TWO_PI_STR) - 1:
         raise ToleranceError(f"a lattice phase of about 1e{int(digits)} "
@@ -201,8 +200,7 @@ def _reduced_phases(u: np.ndarray, zbase: np.ndarray, lattice,
         D = decimal.Decimal
         two_pi = +D(_TWO_PI_STR)
         base = D(comp.base)
-        scale = (D(arg_pow[0]) ** int(arg_pow[1]) if arg_pow is not None
-                 else D(1))
+        scale = D(arg_pow[0]) ** int(arg_pow[1])
         betas = {j: D(comp.anchor) * sum(
             D(float(zi)) * D(float(xi))
             for zi, xi in zip(zbase[j], comp.direction)) * scale
@@ -216,20 +214,17 @@ def _reduced_phases(u: np.ndarray, zbase: np.ndarray, lattice,
 
 
 def centered_exp_integrand(zgrid: np.ndarray, points: np.ndarray,
-                           lattice=None, arg_pow=None,
-                           zbase=None) -> np.ndarray:
-    """``g(z, x) = e^{i<z,x>} - 1 - i<z,x>/(1+|x|^2)`` as an (n_points, n_z) array.
-
-    When the grid is a pre-scaled copy ``zgrid = pbase**power * zbase``, pass
-    ``arg_pow=(pbase, power)`` and the unscaled ``zbase`` so huge lattice
-    phases are reduced exactly."""
+                           lattice=None, arg_pow=(1.0, 0)) -> np.ndarray:
+    """``g(z, x) = e^{i<z,x>} - 1 - i<z,x>/(1+|x|^2)`` as an (n_points, n_z)
+    array at the scaled grid ``pbase**power * zgrid``, ``arg_pow = (pbase,
+    power)``; huge phases of the points ``lattice = (comp, ks)`` are reduced
+    exactly, scale included."""
+    zscaled = arg_pow[0] ** arg_pow[1] * zgrid
     with np.errstate(over="ignore"):
-        u = points @ zgrid.T                      # (n, m)
+        u = points @ zscaled.T                    # (n, m)
         n2 = np.sum(points * points, axis=1)      # (n,)
-        u_osc = u
-        if lattice is not None and np.any(np.abs(u) > PHASE_SAFE):
-            u_osc = _reduced_phases(u, zbase if zbase is not None else zgrid,
-                                    lattice, arg_pow)
+        u_osc = u if lattice is None else _reduced_phases(u, zgrid, lattice,
+                                                          arg_pow)
         return np.exp(1j * u_osc) - 1.0 - 1j * u / (1.0 + n2[:, None])
 
 
@@ -271,11 +266,7 @@ def jump_series(levy: ms.LevyMeasure, zgrid: np.ndarray, b: float,
     jump = np.zeros(zgrid.shape[0], dtype=complex)
     err = 0.0
     for comp in levy.components:
-        if isinstance(comp, ms.Atoms):
-            pts, masses, ks, tail = comp.points, comp.weights, None, 0.0
-        else:
-            r, masses, ks, tail = ms._enumerate_component(comp, env, tol)
-            pts = r[:, None] * comp.direction[None, :]
+        pts, masses, ks, tail = ms._enumerate_component(comp, env, tol)
         part = np.zeros(zgrid.shape[0], dtype=complex)
         if masses.size:
             # the terms of the per-point series, whose length the whole
@@ -286,7 +277,7 @@ def jump_series(levy: ms.LevyMeasure, zgrid: np.ndarray, b: float,
             # as k falls when r * b < 1 and would cancel, so those points
             # keep the per-point series
             regroup = np.zeros(masses.size, dtype=bool) if ks is None \
-                or len(w) < 2 else (r >= 1.0) & (comp.base == b)
+                or len(w) < 2 else (comp.radius(ks) >= 1.0) & (comp.base == b)
             if regroup.any():
                 part = part + _regrouped_series(
                     zgrid, comp, ks[regroup], masses[regroup], w, arg_pow)
@@ -297,22 +288,22 @@ def jump_series(levy: ms.LevyMeasure, zgrid: np.ndarray, b: float,
                                dtype=complex)
                 for t, wt in enumerate(w):
                     acc += wt * centered_exp_integrand(
-                        b ** (arg_pow - t) * zgrid, pts[each], lattice,
-                        arg_pow=(b, arg_pow - t), zbase=zgrid)
+                        zgrid, pts[each], lattice, arg_pow=(b, arg_pow - t))
                 part = part + np.tensordot(masses[each], acc, axes=(0, 0))
         jump = jump + part
         err += tail
     return jump, err
 
 
-def cumulant(triplet: LevyTriplet, z, tol=1e-12, arg_pow=None) -> CumulantGrid:
+def cumulant(triplet: LevyTriplet, z, tol=1e-12,
+             arg_pow=(1.0, 0)) -> CumulantGrid:
     """Cumulant function on a grid of arguments ``z`` (shape (m, d) or (d,)).
 
     ``arg_pow = (base, power)`` evaluates at ``base**power * z`` with the
     scale applied exactly in the lattice phase reduction, so arguments like
     ``z / b`` lose no precision against huge jump radii."""
     zbase = _as_grid(z, triplet.dim)
-    pbase, power = arg_pow or (1.0, 0)
+    pbase, power = arg_pow
     zgrid = zbase * pbase ** power
     zmax = float(np.max(np.linalg.norm(zgrid, axis=1), initial=0.0)) or 1.0
     quad_part = -0.5 * np.einsum("ij,jk,ik->i", zgrid, triplet.gauss, zgrid)
@@ -357,7 +348,6 @@ def scale(triplet: LevyTriplet, s: float) -> LevyTriplet:
         shift, _ = ms.sum_over_measure(
             triplet.levy, shift_integrand,
             envelope=ms.Envelope(max(c_small, 1e-30), 3, (s + 1.0 / s,),
-                                 decay=1),
-            tol=1e-12, out_shape=(triplet.dim,), dtype=float)
+                                 decay=1), tol=1e-12)
     return LevyTriplet(s * s * triplet.gauss, ms.LevyMeasure(tuple(comps)),
                        s * triplet.drift + shift)

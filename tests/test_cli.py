@@ -380,18 +380,25 @@ BAD_FLAGS = [
     ("map", "--tol", "nan"), ("map", "--tol", "0"), ("map", "--tol", "inf"),
     ("check", "--tol", "nan"), ("check", "--tol", "-1"),
     ("map", "--grid", "nan:3"), ("map", "--grid", "inf:3"),
-    ("simulate", "--init", "nan"), ("simulate", "--init", "inf")]
+    ("simulate", "--init", "nan"), ("simulate", "--init", "inf"),
+    ("simulate", "--seed", "-1"),
+    # steps / c overflows; the shift check runs to epoch 2 even at steps 0
+    ("simulate", "--c", "1e-308"),
+    ("simulate", "--c", "1e-308", "--steps", "0", "--semistationary")]
 BASE_FLAGS = {"simulate": ["--paths", "30", "--steps", "3"],
               "map": ["--grid", "3:5"], "check": []}
 
 
-@pytest.mark.parametrize("command,flag,value", BAD_FLAGS, ids=[
-    f"{f}-{v}" if c == "simulate" else f"{c}{f}-{v}" for c, f, v in BAD_FLAGS])
-def test_simulate_bad_flags_exit_2(tmp_path, capsys, command, flag, value):
+@pytest.mark.parametrize("command,flag,value,more", [
+    (c, f, v, more) for c, f, v, *more in BAD_FLAGS], ids=[
+    "-".join([f"{f}-{v}" if c == "simulate" else f"{c}{f}-{v}",
+              *(m.lstrip("-") for m in more)]) for c, f, v, *more in BAD_FLAGS])
+def test_simulate_bad_flags_exit_2(tmp_path, capsys, command, flag, value,
+                                   more):
     spec = write_spec(tmp_path, "g.json", GAUSS)
     argv = [command, spec, "--b", "2", *BASE_FLAGS[command],
             "--out", str(tmp_path / "x")]
-    assert cli.main(argv + [flag, value]) == 2
+    assert cli.main(argv + [flag, value, *more]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag in err
@@ -519,6 +526,29 @@ def test_atom_near_origin(tmp_path, capsys, x, code, message):
     assert cli.main(["map", spec, "--b", "2", "--grid", "2:3",
                      "--out", str(tmp_path / "x")]) == code
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("suite", ["core", "iterate"])
+def test_verify_negative_seed_exit_2(tmp_path, capsys, suite):
+    out = tmp_path / "v.json"
+    assert cli.main(["verify", "--suite", suite, "--seed", "-1",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--seed" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("b", ["1e160", "1e308"])
+def test_semistable_non_finite_fit_exit_4(tmp_path, capsys, b):
+    # C(bz) overflows on a Gaussian: the fit is refused, not written
+    spec = write_spec(tmp_path, "g.json", GAUSS)
+    cert = tmp_path / "cert.json"
+    assert cli.main(["check", spec, "--b", b, "--semistable",
+                     "--out", str(cert)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("tolerance error: ") and err.count("\n") == 1
+    assert not os.path.exists(cert)
 
 
 def test_semistable_degenerate_law_exit_3(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Static checks on the package source (no pyflakes or ruff is assumed)."""
 
 import ast
+import builtins
 import fnmatch
 import importlib
 import inspect
@@ -344,6 +345,76 @@ def test_every_option_has_a_caller():
                for p in sorted((ROOT / d).rglob("*.py"))]
     modules = [(p.stem, p.read_text()) for p in MODULES]
     assert unset_options(modules, sources, SET_ELSEWHERE) == []
+
+
+def passed_constant(call, param, index):
+    """The literal value or builtin name that a call passes for an option,
+    or None when it passes anything else, keeps the default or may hide the
+    option in ``*args`` or ``**kw``."""
+    node = None
+    for k in call.keywords:
+        if k.arg is None:
+            return None
+        if k.arg == param:
+            node = k.value
+    if node is None and index is not None:
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return None
+        node = call.args[index] if len(call.args) > index else None
+    if node is None:
+        return None
+    if isinstance(node, ast.Name):
+        return node.id if node.id in dir(builtins) else None
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError, SyntaxError):
+        return None
+
+
+def one_literal_options(modules, sources, allowed=()) -> list:
+    """Optional parameters of ``modules`` that every call in ``sources``
+    sets to one and the same literal or builtin name, less the ``allowed``
+    patterns: their default is never used and they take one value."""
+    sites = call_sites(sources)
+    out = []
+    for module, source in modules:
+        for key, (name, param, index, _) in optional_params(
+                source, module).items():
+            values = {passed_constant(c, param, index)
+                      for c in sites.get(name, ())}
+            if (len(values) == 1 and None not in values
+                    and not any(fnmatch.fnmatchcase(key, p) for p in allowed)):
+                out.append(key)
+    return sorted(out)
+
+
+def test_one_literal_options_are_detected():
+    lib = ("def f(a, b=1, *, c=2, d=3, e=None):\n    pass\n"
+           "class K:\n    def m(self, x=0, y=0):\n        pass\n")
+    calls = ("f(1, 2, c=float, d=4, e=[1])\nf(0, 2, c=float, d=x, e=[1])\n"
+             "k.m(5, y=1)\nk.m(5)\n")
+    assert one_literal_options([("lib", lib)], [lib, calls]) == [
+        "lib.K.m(x)", "lib.f(b)", "lib.f(c)", "lib.f(e)"]
+    assert one_literal_options([("lib", lib)], [lib, calls],
+                               allowed=("lib.f(*)",)) == ["lib.K.m(x)"]
+    # a call that keeps the default or may hide the option leaves it open,
+    # and so does a name that is not a builtin
+    for extra in ("f(0)\n", "f(**kw)\n"):
+        assert one_literal_options([("lib", lib)], [calls, extra]) == [
+            "lib.K.m(x)"]
+    assert one_literal_options([("lib", lib)], [
+        calls, "f(*a, c=float, e=[1])\n"]) == [
+        "lib.K.m(x)", "lib.f(c)", "lib.f(e)"]
+    assert one_literal_options([("lib", lib)], ["f(0, c=np)\nf(1, c=np)\n"]) \
+        == []
+
+
+def test_no_option_takes_one_literal_value():
+    # an option that every package call sets to the same constant is that
+    # constant; SET_ELSEWHERE names the public options the tests vary
+    sources = [p.read_text() for p in MODULES]
+    modules = [(p.stem, p.read_text()) for p in MODULES]
+    assert one_literal_options(modules, sources, SET_ELSEWHERE) == []
 
 
 SCIPY_FREE = {

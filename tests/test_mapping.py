@@ -135,6 +135,25 @@ def test_signed_factor_is_not_vouched_for():
         tp.require_valid(inv.rho)
 
 
+def test_inverse_factor_enumerates_each_component_once(monkeypatch):
+    # the drift shift walks the atoms and the lattice once each; validity,
+    # already shown, walks nothing
+    lat = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=0.5, r=0.3, kmin=-2),))
+    mu = tp.LevyTriplet(np.eye(1), ms.LevyMeasure(
+        (lat, ms.Atoms([[0.7], [-1.9]], [0.5, 0.25]))), [0.1])
+    tp.require_valid(mu)
+    calls = []
+    enumerate_component = ms._enumerate_component
+
+    def counted(comp, env, tol):
+        calls.append(comp)
+        return enumerate_component(comp, env, tol)
+
+    monkeypatch.setattr(ms, "_enumerate_component", counted)
+    mp.inverse_factor(mu, 2.0)
+    assert calls == list(mu.levy.components)
+
+
 def _direct_double_sum(rho, b, zgrid, m, arg_pow, terms=240):
     """``sum_x nu(x) sum_{j < terms} C(j+m, m) g(b^(arg_pow - j) z, x)`` for
     a measure of atoms and finite lattices, one (point, term) cell at a

@@ -245,7 +245,7 @@ def test_sum_over_measure_matches_direct_atoms():
         return np.sum(pts, axis=1)
 
     v, err = ms.sum_over_measure(levy, f, envelope=ms.Envelope(1.0, 2, (1.0,)),
-                                 tol=1e-12, out_shape=(), dtype=float)
+                                 tol=1e-12)
     assert v == pytest.approx(0.5 * 1.0 + 0.25 * 2.0)
     assert err <= 1e-12
 

@@ -206,15 +206,16 @@ def test_transition_enumerates_each_lattice_once(monkeypatch):
     calls = []
     enumerate_component = ms._enumerate_component
 
-    def counted(lat, env, tol):
-        calls.append(lat)
-        return enumerate_component(lat, env, tol)
+    def counted(comp, env, tol):
+        calls.append(comp)
+        return enumerate_component(comp, env, tol)
 
     monkeypatch.setattr(ms, "_enumerate_component", counted)
     other = ms.ScaleLattice([-1.0], 1.5, (ms.Segment(w=0.4, r=0.5, kmin=-3),))
     noise = _lattice_noise([1.0], 1.3, other, ms.Atoms([[0.7]], [0.5]))
     ou.transition_cumulant(noise, CFG, 0.0, 60.0, ou.ecf_grid(1))
-    assert calls == list(noise.levy.components[:2])
+    # atoms go through the same walk as lattices
+    assert calls == list(noise.levy.components)
 
 
 def test_divergence_bound_oracle():
