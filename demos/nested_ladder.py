@@ -13,8 +13,8 @@ mu = semi_stable_triplet(SemiStableSpec(b=b, alpha=0.5))
 cert = is_nested_member(mu, b, 5)
 print("semi-stable verdicts:", cert.verdicts)
 
-fit = is_semi_stable(mu, b)
-print("fitted scaling a:", fit.a, "index:", fit.alpha)
+ss = is_semi_stable(mu, b)
+print("semi-stable:", ss.verdict, "scaling a:", ss.a, "index:", ss.alpha)
 
 # a unit-jump compound Poisson fails immediately; one application of the
 # map buys exactly one level

@@ -8,7 +8,7 @@ from .mapping import (FactorizationReport, InverseFactor,
                       forward_cumulant, forward_triplet, inverse_factor,
                       is_semi_selfdecomposable)
 from .measures import Atoms, LevyMeasure, ScaleLattice, Segment, log_moment
-from .nested import (NestedCertificate, SemiStableFit, SemiStableSpec,
+from .nested import (NestedCertificate, SemiStableCertificate, SemiStableSpec,
                      is_nested_member, is_semi_stable, iterated_cumulant,
                      iterated_forward_triplet, semi_stable_triplet)
 from .ou import (OUConfig, PathBundle, limit_cumulant, sample_limit_law,
@@ -27,7 +27,7 @@ __all__ = [
     "FactorizationReport", "InvalidTripletError", "InverseFactor",
     "LevyMeasure", "LevyTriplet", "NestedCertificate", "OUConfig",
     "PathBundle", "SampleBatch", "Sampler", "ScaleLattice", "Segment",
-    "SemiStableFit", "SemiStableSpec", "SemiselfError",
+    "SemiStableCertificate", "SemiStableSpec", "SemiselfError",
     "SpanMembershipCertificate", "SpecError", "ToleranceError",
     "UnsupportedComponentError", "compound_poisson", "cumulant",
     "cumulant_at", "ecf", "factorization_check", "forward_cumulant",

@@ -8,6 +8,7 @@ output is atomic and carries the hash of its run manifest.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -155,6 +156,10 @@ def cmd_map(args) -> int:
             inv = mp.inverse_factor(mu, args.b, tol=tol)
             out_trip = inv.rho
             grid = tp.cumulant(inv.rho, zgrid, tol=tol)
+            # the factor's drift is off by at most drift_err in norm
+            grid = dataclasses.replace(grid, err_bound=grid.err_bound
+                                       + np.linalg.norm(zgrid, axis=1)
+                                       * inv.drift_err)
             extra = {"inverse": True, "nonnegative": bool(inv.nonnegative),
                      "violations": _violations_json(inv.violations)}
         else:
@@ -197,17 +202,14 @@ def cmd_check(args) -> int:
     t0 = time.time()
     mu = specio.load_triplet(args.spec)
     if args.semistable:
-        # a non-finite fit is refused below, not warned about
+        # a non-finite scale or linear term is refused below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            fit = nested.is_semi_stable(mu, args.b, tol=args.tol)
-        if not np.all(np.isfinite([fit.a, *fit.c, fit.max_residual])):
-            raise ToleranceError("semi-stable fit has a non-finite scale, "
-                                 "linear term or residual; use a smaller --b")
-        verdict = fit.verdict
-        cert = {"kind": "semistable", "b": fit.b, "verdict": verdict,
-                "a": fit.a, "alpha": fit.alpha if fit.a > 0 else None,
-                "c": fit.c.tolist(), "max_residual": fit.max_residual,
-                "tol": fit.tol}
+            ss = nested.is_semi_stable(mu, args.b)
+        if ss.verdict and not np.all(np.isfinite([ss.a, *ss.c])):
+            raise ToleranceError("semi-stable scale or linear term is not "
+                                 "finite; use a smaller --b")
+        verdict = ss.verdict
+        cert = {"kind": "semistable", **dataclasses.asdict(ss)}
     elif args.level > 0:
         nc = nested.is_nested_member(mu, args.b, args.level)
         verdict = nc.verdict
@@ -226,8 +228,8 @@ def cmd_check(args) -> int:
                 "residual_tol": sc.residual_tol,
                 "factor": specio.triplet_to_dict(sc.factor)}
 
-    # the nested ladder is exact lattice algebra: it reads no tolerance
-    tolerances = {} if cert["kind"] == "nested" else {"tol": args.tol}
+    # only the span check reads --tol; the other two are exact algebra
+    tolerances = {"tol": args.tol} if cert["kind"] == "span" else {}
     manifest = _manifest(args, {"spec": specio.spec_hash(mu)}, tolerances, t0)
     cert["manifest"] = manifest.hash()
     _emit(args.out, cert)
@@ -361,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--level", type=int, default=0,
                          help="nested class level m")
     p_check.add_argument("--semistable", action="store_true",
-                         help="fit the semi-stable scaling relation instead")
+                         help="decide semi-stability instead (exact)")
     p_check.add_argument("--tol", type=float, default=1e-8)
     p_check.add_argument("--out", default=None,
                          help="certificate JSON path (default: stdout)")

@@ -217,11 +217,13 @@ class InverseFactor:
 
     ``nonnegative`` is the exact lattice-level membership criterion;
     ``violations`` lists ``(direction, lattice_index)`` of negative mass,
-    as a tuple of floats and an int."""
+    as a tuple of floats and an int.  ``drift_err`` bounds the norm of the
+    error of ``rho``'s drift (the window tails of its centering shift)."""
 
     rho: tp.LevyTriplet
     nonnegative: bool
     violations: tuple
+    drift_err: float
 
 
 def inverse_factor(mu: tp.LevyTriplet, b: float,
@@ -244,6 +246,7 @@ def inverse_factor(mu: tp.LevyTriplet, b: float,
     levy_rho = ms.LevyMeasure(tuple(comps))
 
     gamma_rho = (1.0 - 1.0 / b) * mu.drift
+    drift_err = 0.0
     if mu.levy.components:
 
         def pushforward_centering(points):
@@ -252,7 +255,7 @@ def inverse_factor(mu: tp.LevyTriplet, b: float,
             s2 = n2 / (b * b)
             return scaled * (1.0 / (1.0 + s2) - 1.0 / (1.0 + n2))[:, None]
 
-        T, _ = ms.sum_over_measure(
+        T, drift_err = ms.sum_over_measure(
             mu.levy, pushforward_centering, tol=tol,
             envelope=ms.Envelope((1.0 - b ** (-2)) / b, 3, (b,), decay=1))
         gamma_rho = gamma_rho - T
@@ -260,7 +263,7 @@ def inverse_factor(mu: tp.LevyTriplet, b: float,
     rho = tp._inherit_valid(tp.LevyTriplet(A_rho, levy_rho, gamma_rho), mu,
                             not violations)
     return InverseFactor(rho=rho, nonnegative=not violations,
-                         violations=tuple(violations))
+                         violations=tuple(violations), drift_err=drift_err)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +316,14 @@ def is_semi_selfdecomposable(mu: tp.LevyTriplet, b: float,
     with the cumulant-level factorization residual as a secondary diagnostic."""
     b = check_span(b)
     inv = inverse_factor(mu, b)
+    if any(getattr(c, "base", b) != b for c in mu.levy.components):
+        # the factor is exact for the law on the families, whose radii differ
+        # from those of a lattice on another base in the last bits
+        comps = [c for f in ms.canonical_families(mu.levy, b).values()
+                 for c in ms.segments_to_components(f.direction, b, f.anchor,
+                                                    f.segments)]
+        mu = tp._inherit_valid(tp.LevyTriplet(
+            mu.gauss, ms.LevyMeasure(tuple(comps)), mu.drift), mu)
     rep = factorization_check(mu, inv.rho, b, tol=tol / 10.0)
     verdict = inv.nonnegative and rep.max_residual < tol + rep.err_bound
     return SpanMembershipCertificate(

@@ -60,6 +60,8 @@ class Atoms:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        if pts.size == 0:
+            raise ValueError("empty atoms component: no points")
         if pts.shape[0] != w.shape[0]:
             raise ValueError("points and weights length mismatch")
         pts.setflags(write=False)
@@ -446,8 +448,11 @@ def _family_key(direction, frac):
 def canonical_families(levy: LevyMeasure, b: float) -> dict:
     """Sort atoms and lattices into skeleton families for span ``b``.
 
-    The measure must be valid, and its lattices must already use base ``b``;
-    atoms are converted to single-point segments on the skeleton they fall on.
+    The measure must be valid.  Atoms are converted to single-point segments
+    on the skeleton they fall on.  A lattice on base ``beta = b^(1/n)``
+    (integer ``n >= 1`` within ``FAMILY_TOL``) splits into ``n`` families on
+    base ``b``: index ``n i + j`` is index ``i`` of family ``j``, whose anchor
+    is ``anchor beta^j`` and whose mass is ``w r^j (r^n)^i``.
     """
     logb = math.log(b)
     fams: dict = {}
@@ -472,14 +477,29 @@ def canonical_families(levy: LevyMeasure, b: float) -> dict:
             for x, w, r in zip(comp.points, comp.weights, radii):
                 add(x / r, r, Segment(w=float(w), r=1.0, kmin=0, kmax=0))
         else:
-            if abs(comp.base - b) > FAMILY_TOL * b:
+            n = round(logb / math.log(comp.base))
+            if n < 1 or abs(n * math.log(comp.base) - logb) > FAMILY_TOL:
                 raise UnsupportedComponentError(
-                    "lattice base must match the mapping span for exact algebra")
+                    "lattice base must be the mapping span b or a root "
+                    "b^(1/n) of it for exact algebra")
+            if n > _ENUM_CAP:
+                raise ToleranceError(f"lattice base b^(1/{n}) splits into "
+                                     "more families than the enumeration cap")
             for seg in comp.segments:
                 if seg.power:
                     raise UnsupportedComponentError(
                         "power-law lattice segments support cumulant-level maps only")
-                add(comp.direction, comp.anchor, seg)
+                if n > 1 and n * abs(math.log(seg.r)) > 700.0:
+                    raise ToleranceError(f"lattice ratio {seg.r!r} to the "
+                                         f"power {n} leaves double range")
+                for j in range(n):  # ceil and floor of (k - j) / n
+                    lo = seg.kmin if seg.kmin == NEG_INF \
+                        else -((j - seg.kmin) // n)
+                    hi = seg.kmax if seg.kmax == POS_INF \
+                        else (seg.kmax - j) // n
+                    if lo <= hi:
+                        add(comp.direction, comp.anchor * comp.base ** j,
+                            Segment(seg.w * seg.r ** j, seg.r ** n, lo, hi))
     return fams
 
 

@@ -169,7 +169,7 @@ def semi_stable_triplet(spec: SemiStableSpec) -> tp.LevyTriplet:
     For alpha != 1 the drift is set so the law is strictly semi-stable
     (``a C(z) = C(bz)`` with a = b^alpha and no extra linear term); at
     alpha = 1 no drift achieves strictness, so the drift is left at zero and
-    the linear term is reported by the fitting check instead.
+    :func:`is_semi_stable` reports the linear term ``c`` instead.
     """
     b, a = spec.b, spec.b ** spec.alpha
     lat = ms.ScaleLattice(
@@ -189,43 +189,43 @@ def semi_stable_triplet(spec: SemiStableSpec) -> tp.LevyTriplet:
 
 
 @dataclass(frozen=True)
-class SemiStableFit:
-    """Fitted scaling ``a`` and linear term ``c`` in
-    ``a C(z) = C(bz) + i <c, z>`` plus the residual of the fit."""
+class SemiStableCertificate:
+    """Verdict on ``a C(z) = C(bz) + i <c, z>``, ``a = b^alpha``, with ``a``,
+    ``alpha`` and ``c`` of a semi-stable law; else a ``witness`` ``[direction,
+    k]``, the first ``k`` with ``m(k+1) != r m(k)`` (None at -inf)."""
 
     b: float
-    a: float
-    c: np.ndarray
-    max_residual: float
-    tol: float
-
-    @property
-    def verdict(self) -> bool:
-        return self.max_residual < self.tol
-
-    @property
-    def alpha(self) -> float:
-        return math.log(self.a) / math.log(self.b)
+    verdict: bool
+    a: float | None
+    alpha: float | None
+    c: list | None
+    witness: list | None
 
 
-def is_semi_stable(mu: tp.LevyTriplet, b: float,
-                   tol: float = 1e-8) -> SemiStableFit:
-    """Fit the scaling relation on the default grid: ``a`` from the real
-    parts at the reference point with largest |Re C|, then ``c`` by least
-    squares on the imaginary parts, then the verdict from the max residual."""
+def is_semi_stable(mu: tp.LevyTriplet, b: float) -> SemiStableCertificate:
+    """Decide exactly from the canonical families: with jumps, semi-stable
+    iff no Gaussian part and every family is one ``w r^k`` on all integers,
+    one ``r`` for all within ``FAMILY_TOL``; ``alpha = -log r / log b``."""
     b = mp.check_span(b)
     tp.require_valid(mu)
-    zgrid = mp.default_grid(mu.dim)
-    c1 = tp.cumulant(mu, zgrid, tol=tol / 100.0)
-    c2 = tp.cumulant(mu, zgrid, tol=tol / 100.0, arg_pow=(b, 1))
-    re = np.abs(c1.values.real)
-    i0 = int(np.argmax(re))
-    if re[i0] < 1e-12:
-        raise DomainError("degenerate law: Re C vanishes on the whole grid")
-    a = float(c2.values.real[i0] / c1.values.real[i0])
-    # a Im C(z) - Im C(bz) = <c, z>
-    rhs = a * c1.values.imag - c2.values.imag
-    cvec, *_ = np.linalg.lstsq(zgrid, rhs, rcond=None)
-    res = np.abs(a * c1.values - c2.values - 1j * (zgrid @ cvec))
-    return SemiStableFit(b=b, a=a, c=cvec, max_residual=float(np.max(res)),
-                         tol=tol)
+    fams = [(f.direction, segs) for f in ms.canonical_families(
+        mu.levy, b).values() if (segs := ms.simplify_segments(f.segments))]
+    if not fams and not np.any(mu.gauss):
+        raise DomainError("degenerate law: a pure drift has no scaling index")
+    r = fams[0][1][0].r if fams else None
+    for direction, segs in fams:
+        # m(k+1) != r m(k) where m(k) r^-k changes (ratios near 1 are 1)
+        k = min((s.kmin for s in ms.difference_segments([ms.Segment(
+            s.w, 1.0 if abs(s.r / r - 1.0) <= ms.FAMILY_TOL else s.r / r,
+            s.kmin, s.kmax) for s in segs])), default=None)
+        if k is not None:
+            return SemiStableCertificate(b, False, None, None, None, [
+                np.round(direction, 9).tolist(), None if k == ms.NEG_INF
+                else int(k)])
+    if fams and np.any(mu.gauss):
+        return SemiStableCertificate(b, False, None, None, None, None)
+    alpha = -math.log(r) / math.log(b) if fams else 2.0
+    a = float(np.power(b, alpha))  # b^2 overflows past b ~ 1e154
+    # c = (a - b) gamma - h, with b gamma + h the drift of b X
+    c = a * mu.drift - tp.scale(mu, b).drift
+    return SemiStableCertificate(b, True, a, alpha, c.tolist(), None)

@@ -206,8 +206,8 @@ def suite_iterate(seed: int = 42) -> dict:
         ladder_ok = ladder_ok and all(cert.verdicts)
         w = cert.factors[0].levy.components[0].segments[0].w
         prop_gap = max(prop_gap, abs(w - (1.0 - 2.0 ** (-alpha))))
-        fit = nt.is_semi_stable(mu, 2.0)
-        ladder_ok = ladder_ok and fit.verdict and abs(fit.a - 2.0 ** alpha) < 1e-8
+        ss = nt.is_semi_stable(mu, 2.0)
+        ladder_ok = ladder_ok and ss.verdict and abs(ss.a - 2.0 ** alpha) < 1e-8
     checks.append(_check("semistable_ladder", ladder_ok, prop_gap))
 
     c0 = nt.is_nested_member(pu, 2.0, 0)
@@ -218,13 +218,12 @@ def suite_iterate(seed: int = 42) -> dict:
     cg = nt.is_nested_member(g, 2.0, 5)
     checks.append(_check("gaussian_all_levels", all(cg.verdicts), 0.0))
 
-    fit = nt.is_semi_stable(g, 2.0)
+    ss = nt.is_semi_stable(g, 2.0)
     checks.append(_check("gaussian_stable_scaling",
-                         fit.verdict and abs(fit.a - 4.0) < 1e-10,
-                         abs(fit.a - 4.0)))
-    fit = nt.is_semi_stable(pu, 2.0)
-    checks.append(_check("poisson_not_semistable", not fit.verdict,
-                         fit.max_residual))
+                         ss.verdict and abs(ss.a - 4.0) < 1e-10,
+                         abs(ss.a - 4.0)))
+    checks.append(_check("poisson_not_semistable",
+                         not nt.is_semi_stable(pu, 2.0).verdict, 0.0))
 
     return {"suite": "iterate", "seed": seed, "checks": checks,
             "pass": all(c["pass"] for c in checks)}

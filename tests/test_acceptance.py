@@ -175,7 +175,7 @@ def test_criterion_09_domain_boundaries(tmp_path):
 # sha256 of the seed-42 verify summary without its manifest: it pins every
 # ECF gap and confidence radius the suites report
 VERIFY_ALL_42_SHA = \
-    "cfc1b9c5b40072a5561aa395304e036747fbdefe2445177d63a56d00b276237e"
+    "ca952f3a4f3a99450955cacf27b66002d2152607cced7f7e98c28b3906657379"
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -133,6 +133,84 @@ def test_check_semistable(tmp_path):
     assert json.load(open(out))["a"] == pytest.approx(2.0, abs=1e-6)
 
 
+def _geometric_lattice(base, r, **bounds):
+    seg = dict({"w": 1.0, "r": r, "kmin": "-inf", "kmax": "inf"}, **bounds)
+    return {"schema": 1, "drift": [0.1], "levy": [{
+        "kind": "lattice", "direction": [1.0], "base": base, "anchor": 1.0,
+        "segments": [seg]}]}
+
+
+def test_semistable_verdict_agrees_with_the_ladder(tmp_path):
+    # m(k) = 2^-1.5k on -60..60 only: m(-60) != r m(-61) = 0, so the
+    # semi-stable witness is the index where level 0 of the ladder fails
+    spec = write_spec(tmp_path, "cut.json",
+                      _geometric_lattice(2.0, 2 ** -1.5, kmin=-60, kmax=60))
+    cert, level = str(tmp_path / "ss.json"), str(tmp_path / "level.json")
+    assert cli.main(["check", spec, "--b", "2", "--semistable",
+                     "--out", cert]) == 1
+    assert cli.main(["check", spec, "--b", "2", "--level", "3",
+                     "--out", level]) == 1
+    ss = json.load(open(cert))
+    assert ss["witness"] == [[1.0], -61] and ss["verdict"] is False
+    assert ss["a"] is None and ss["alpha"] is None and ss["c"] is None
+    assert json.load(open(level))["first_violation"] == [0, -61]
+    # the verdict is exact: it records no tolerance
+    assert json.load(open(str(tmp_path / "ss.manifest.json")))[
+        "tolerances"] == {}
+
+
+@pytest.mark.parametrize("b", ["1e4", "1e8", "1e20"])
+def test_gaussian_is_semi_stable_at_large_spans(tmp_path, b):
+    spec = write_spec(tmp_path, "g.json", GAUSS)
+    out = str(tmp_path / "ss.json")
+    assert cli.main(["check", spec, "--b", b, "--semistable",
+                     "--out", out]) == 0
+    cert = json.load(open(out))
+    assert cert["alpha"] == 2.0 and cert["a"] == float(b) ** 2
+    assert cert["c"] == [0.0] and cert["witness"] is None
+
+
+def test_root_base_lattice_is_a_member_on_every_command(tmp_path):
+    # base 2^(1/2) at span 2 splits into two families on base 2; m(k) =
+    # 2^(-k/4) scales by 2^-0.5 over two indices: alpha 0.5
+    spec = write_spec(tmp_path, "root.json",
+                      _geometric_lattice(2 ** 0.5, 2 ** -0.25))
+    out = str(tmp_path / "c.json")
+    assert cli.main(["check", spec, "--b", "2", "--out", out]) == 0
+    assert cli.main(["check", spec, "--b", "2", "--level", "3",
+                     "--out", out]) == 0
+    assert cli.main(["check", spec, "--b", "2", "--semistable",
+                     "--out", out]) == 0
+    assert json.load(open(out))["alpha"] == pytest.approx(0.5, abs=1e-12)
+    assert cli.main(["map", spec, "--b", "2", "--grid", "3:5",
+                     "--out", str(tmp_path / "map")]) == 0
+    assert json.load(open(str(tmp_path / "map" / "report.json")))[
+        "exact_triplet"] is True
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the e^{iu} - 1 cancellation of ROADMAP 1(a) leaves a factorization "
+    "residual of 3e-4 in the span check; a base-2 lattice anchored at "
+    "2^(1/2) fails the same way"))
+def test_root_base_lattice_at_alpha_one_and_a_half_is_a_span_member(
+        tmp_path):
+    spec = write_spec(tmp_path, "root.json",
+                      _geometric_lattice(2 ** 0.5, 2 ** -0.75))
+    assert cli.main(["check", spec, "--b", "2", "--level", "3"]) == 0
+    assert cli.main(["check", spec, "--b", "2", "--semistable"]) == 0
+    assert cli.main(["check", spec, "--b", "2"]) == 0
+
+
+def test_other_lattice_bases_exit_3_on_every_membership_command(tmp_path,
+                                                                capsys):
+    spec = write_spec(tmp_path, "b15.json", _geometric_lattice(1.5, 0.5))
+    for flags in ([], ["--level", "2"], ["--semistable"]):
+        assert cli.main(["check", spec, "--b", "2", *flags]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: lattice base") and \
+            err.count("\n") == 1
+
+
 def test_parse_error_exit_2(tmp_path):
     missing = str(tmp_path / "none.json")
     assert cli.main(["map", missing, "--b", "2",
@@ -518,11 +596,15 @@ def test_refused_spec_exits_with_one_line(tmp_path, capsys, spec_id, command,
 @pytest.mark.parametrize("x,code,message", [
     (0.0, 2, "error: mass at origin\n"),
     (1e-200, 2, "error: atom too near the origin: |x|^2 underflows\n"),
-    (1e-150, 0, "")])
+    (1e-150, 0, ""),
+    (None, 2, "error: malformed triplet spec: empty atoms component: "
+              "no points\n")])
 def test_atom_near_origin(tmp_path, capsys, x, code, message):
-    # 1e-200 is off the origin, but its |x|^2 underflows; 1e-150's does not
+    # 1e-200 is off the origin, but its |x|^2 underflows; 1e-150's does not;
+    # None stands for an atoms component without points
     spec = write_spec(tmp_path, "spec.json", {"schema": 1, "levy": [
-        {"kind": "atoms", "points": [[x]], "weights": [1.0]}]})
+        {"kind": "atoms", "points": [] if x is None else [[x]],
+         "weights": [] if x is None else [1.0]}]})
     assert cli.main(["map", spec, "--b", "2", "--grid", "2:3",
                      "--out", str(tmp_path / "x")]) == code
     assert capsys.readouterr().err == message
@@ -541,7 +623,7 @@ def test_verify_negative_seed_exit_2(tmp_path, capsys, suite):
 
 @pytest.mark.parametrize("b", ["1e160", "1e308"])
 def test_semistable_non_finite_fit_exit_4(tmp_path, capsys, b):
-    # C(bz) overflows on a Gaussian: the fit is refused, not written
+    # a = b^2 overflows on a Gaussian: the verdict is refused, not written
     spec = write_spec(tmp_path, "g.json", GAUSS)
     cert = tmp_path / "cert.json"
     assert cli.main(["check", spec, "--b", b, "--semistable",
@@ -552,7 +634,7 @@ def test_semistable_non_finite_fit_exit_4(tmp_path, capsys, b):
 
 
 def test_semistable_degenerate_law_exit_3(tmp_path, capsys):
-    # Re C vanishes on the whole grid: no scaling exponent to fit
+    # a pure drift has no Gaussian part and no jumps: no scaling index
     spec = write_spec(tmp_path, "det.json",
                       {"schema": 1, "drift": [1.0], "levy": []})
     assert cli.main(["check", spec, "--b", "2", "--semistable"]) == 3

@@ -520,3 +520,21 @@ def test_exports_resolve():
     # a stale name in __all__ breaks ``from semiself import *``
     import semiself
     assert [n for n in semiself.__all__ if not hasattr(semiself, n)] == []
+
+
+def test_every_traced_layer_resolves():
+    # the per-layer benchmark wraps these by name: a rename must fail here,
+    # not leave a layer silently untraced
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text())
+    pairs = [ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]]
+    assert len(pairs) == 1 and pairs[0]
+    missing = []
+    for module, attr in pairs[0]:
+        obj = importlib.import_module(f"semiself.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

@@ -238,6 +238,33 @@ def test_canonical_families_rejects_foreign_base():
         ms.canonical_families(ms.LevyMeasure((lat,)), 2.0)
 
 
+def test_root_base_lattice_splits_into_families():
+    # base 8^(1/3) at span 8: index 3 i + j is index i of family j, with
+    # anchor 0.7 * 2^j and mass 0.5^j (0.5^3)^i on ceil((k - j)/3) ..
+    lat = ms.ScaleLattice([1.0], 8.0 ** (1 / 3),
+                          (ms.Segment(w=0.9, r=0.5, kmin=-4, kmax=7),), 0.7)
+    fams = ms.canonical_families(ms.LevyMeasure((lat,)), 8.0)
+    points = {}
+    for fam in fams.values():
+        for seg in fam.segments:
+            for i in range(int(seg.kmin), int(seg.kmax) + 1):
+                points[fam.anchor * 8.0 ** i] = seg.w * seg.r ** i
+    assert len(fams) == 3 and len(points) == 12
+    for k in range(-4, 8):
+        radius = min(points, key=lambda x: abs(x - lat.radius(k)))
+        assert radius == pytest.approx(float(lat.radius(k)), rel=1e-12)
+        assert points[radius] == pytest.approx(0.9 * 0.5 ** k, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,r", [(300_000, 0.5), (40, 1e-30)])
+def test_root_base_split_beyond_range_is_a_tolerance_error(n, r):
+    # n families above the enumeration cap, or r^n below double range
+    lat = ms.ScaleLattice([1.0], 2.0 ** (1 / n),
+                          (ms.Segment(w=1.0, r=r, kmin=0, kmax=3),))
+    with pytest.raises(ToleranceError):
+        ms.canonical_families(ms.LevyMeasure((lat,)), 2.0)
+
+
 def test_sum_over_measure_matches_direct_atoms():
     levy = ms.LevyMeasure((ms.Atoms([[1.0], [2.0]], [0.5, 0.25]),))
 

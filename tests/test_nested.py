@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semiself import mapping as mp
+from semiself import measures as ms
 from semiself import nested as nt
 from semiself import triplets as tp
 
@@ -73,12 +74,12 @@ def test_semistable_ladder(alpha):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_semistable_fit_recovers_index(alpha):
     mu = nt.semi_stable_triplet(nt.SemiStableSpec(b=2.0, alpha=alpha))
-    fit = nt.is_semi_stable(mu, 2.0)
-    assert fit.verdict
-    assert fit.a == pytest.approx(2.0 ** alpha, abs=1e-8)
+    ss = nt.is_semi_stable(mu, 2.0)
+    assert ss.verdict
+    assert ss.a == pytest.approx(2.0 ** alpha, abs=1e-8)
     if alpha != 1.0:
         # strict drift chosen: no linear correction term
-        assert float(np.max(np.abs(fit.c))) < 1e-8
+        assert float(np.max(np.abs(ss.c))) < 1e-8
 
 
 def test_semistable_spec_validation():
@@ -106,13 +107,81 @@ def test_gaussian_member_at_all_levels():
 
 
 def test_gaussian_is_stable_with_a4():
-    fit = nt.is_semi_stable(tp.gaussian(1.0), 2.0)
-    assert fit.verdict and fit.a == pytest.approx(4.0, abs=1e-10)
-    assert fit.alpha == pytest.approx(2.0, abs=1e-10)
+    ss = nt.is_semi_stable(tp.gaussian(1.0), 2.0)
+    assert ss.verdict and ss.a == pytest.approx(4.0, abs=1e-10)
+    assert ss.alpha == pytest.approx(2.0, abs=1e-10)
 
 
 def test_poisson_not_semistable():
     assert not nt.is_semi_stable(tp.poisson_unit(), 2.0).verdict
+
+
+@st.composite
+def lattice_laws(draw):
+    """One or two lattices on base ``b^(1/n)``, each geometric on all
+    integers or cut at one or both ends, with a shared index ``alpha`` or
+    not; ``(law, b, semi-stable by construction)``."""
+    b = draw(st.sampled_from([2.0, 3.0]))
+    alpha = draw(st.floats(0.2, 1.8))
+    comps, indices, whole = [], set(), True
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.sampled_from([1, 2, 3]))
+        own = draw(st.sampled_from([alpha, alpha, alpha + 0.15]))
+        kmin = draw(st.sampled_from([ms.NEG_INF, ms.NEG_INF, -40, -3]))
+        kmax = draw(st.sampled_from([ms.POS_INF, ms.POS_INF, 40, 5]))
+        indices.add(own)
+        whole &= kmin == ms.NEG_INF and kmax == ms.POS_INF
+        comps.append(ms.ScaleLattice(
+            [1.0], b ** (1.0 / n),
+            (ms.Segment(draw(st.floats(0.1, 2.0)), b ** (-own / n), kmin,
+                        kmax),), draw(st.floats(0.5, 2.0))))
+    mu = tp.LevyTriplet(np.zeros((1, 1)), ms.LevyMeasure(tuple(comps)),
+                        np.array([draw(st.floats(-1.0, 1.0))]))
+    return mu, b, whole and len(indices) == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lattice_laws())
+def test_semi_stable_laws_pass_the_whole_ladder(case):
+    # the nested classes decrease to the closure of the semi-stable laws:
+    # a semi-stable law is a span member and passes every level, and a law
+    # that fails a level is not semi-stable
+    mu, b, semi_stable = case
+    ss = nt.is_semi_stable(mu, b)
+    assert ss.verdict == semi_stable
+    ladder = nt.is_nested_member(mu, b, nt.M_MAX)
+    if ss.verdict:
+        assert mp.inverse_factor(mu, b).nonnegative and ladder.verdict
+        assert ss.witness is None
+    else:
+        assert ss.a is None and ss.witness is not None
+    if not ladder.verdict:
+        assert not ss.verdict
+        # on a single lattice the first break is the ladder's index
+        if len(mu.levy.components) == 1 and ladder.first_violation[0] == 0:
+            assert ss.witness[1] == ladder.first_violation[1]
+
+
+def test_semi_stable_verdict_reads_no_cumulant(monkeypatch):
+    def no_cumulant(*args, **kwargs):
+        raise AssertionError("tp.cumulant ran")
+
+    monkeypatch.setattr(tp, "cumulant", no_cumulant)
+    cut = ms.ScaleLattice([1.0], 2.0, (ms.Segment(1.0, 2 ** -1.5, -60, 60),))
+    laws = [nt.semi_stable_triplet(nt.SemiStableSpec(b=2.0, alpha=1.5)),
+            tp.gaussian(1.0), tp.poisson_unit(),
+            tp.LevyTriplet(np.zeros((1, 1)), ms.LevyMeasure((cut,)),
+                           np.zeros(1))]
+    assert [nt.is_semi_stable(mu, 2.0).verdict for mu in laws] == [
+        True, True, False, False]
+    assert nt.is_semi_stable(laws[-1], 2.0).witness == [[1.0], -61]
+
+
+def test_gaussian_beside_a_scaling_measure_is_not_semi_stable():
+    mu = nt.semi_stable_triplet(nt.SemiStableSpec(b=2.0, alpha=1.0))
+    mixed = tp.LevyTriplet(np.eye(1), mu.levy, mu.drift)
+    ss = nt.is_semi_stable(mixed, 2.0)
+    assert not ss.verdict and ss.witness is None
 
 
 def test_level_cap():

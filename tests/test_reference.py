@@ -1,8 +1,12 @@
 """Checks against independent high-precision references (mpmath)."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
 
+from semiself import cli
 from semiself import measures as ms
 from semiself import ou
 from semiself import triplets as tp
@@ -210,3 +214,38 @@ def test_transition_bound_holds_on_lattice_noise_below_radius_one():
                 ref += mpmath.mpf(0.8) * mpmath.mpf(0.47) ** k * (
                     mpmath.expj(u) - 1 - 1j * u / (1 + r * r))
     assert abs(got.values[0] - complex(ref)) <= got.err_bound[0]
+
+
+def test_inverse_map_bound_holds_on_a_heavy_top_lattice(tmp_path):
+    # masses 0.8644^k at radii 1.4563 * 1.8^k fall slowly, so the window
+    # tail of the factor's centering shift moves its drift by about 2.5e-12:
+    # |z| times that belongs in err_bound
+    mpmath = pytest.importorskip("mpmath")
+    w, r, base, anchor, drift = 0.5665, 0.8644, 1.8, 1.4563, -0.342104
+    spec = tmp_path / "heavy.json"
+    spec.write_text(json.dumps({"schema": 1, "drift": [drift], "levy": [{
+        "kind": "lattice", "direction": [1.0], "base": base,
+        "anchor": anchor, "segments": [
+            {"w": w, "r": r, "kmin": "-inf", "kmax": "inf"}]}]}))
+    out = tmp_path / "inv"
+    assert cli.main(["map", str(spec), "--b", repr(base), "--inverse",
+                     "--grid", "5:11", "--out", str(out)]) == 0
+    with open(out / "cumulant.csv") as fh:
+        rows = list(csv.DictReader(line for line in fh
+                                   if not line.startswith("#")))
+    with mpmath.workdps(120):
+        b, a = mpmath.mpf(base), mpmath.mpf(anchor)
+
+        def c_mu(z):  # the terms left out are below 1e-19
+            total = 1j * z * mpmath.mpf(drift)
+            for k in range(-60, 321):
+                x = a * b ** k
+                total += mpmath.mpf(w) * mpmath.mpf(r) ** k * (
+                    mpmath.expj(z * x) - 1 - 1j * z * x / (1 + x * x))
+            return total
+
+        for row in rows:
+            z = mpmath.mpf(float(row["z0"]))
+            ref = complex(c_mu(z) - c_mu(z / b))
+            got = complex(float(row["re"]), float(row["im"]))
+            assert abs(got - ref) <= float(row["err_bound"]), row["z0"]
