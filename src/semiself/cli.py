@@ -210,7 +210,7 @@ def cmd_check(args) -> int:
                                  "finite; use a smaller --b")
         verdict = ss.verdict
         cert = {"kind": "semistable", **dataclasses.asdict(ss)}
-    elif args.level > 0:
+    elif args.level:
         nc = nested.is_nested_member(mu, args.b, args.level)
         verdict = nc.verdict
         cert = {"kind": "nested", "b": nc.b, "m": nc.m,
@@ -219,18 +219,14 @@ def cmd_check(args) -> int:
                 if nc.first_violation else None,
                 "factors": [specio.triplet_to_dict(f) for f in nc.factors]}
     else:
-        sc = mp.is_semi_selfdecomposable(mu, args.b, tol=max(args.tol, 1e-12))
-        verdict = bool(sc.verdict)
+        sc = mp.is_semi_selfdecomposable(mu, args.b)
+        verdict = sc.verdict
         cert = {"kind": "span", "b": sc.b, "verdict": verdict,
-                "nonnegative": bool(sc.nonnegative),
                 "violations": _violations_json(sc.violations),
-                "max_residual": sc.max_residual,
-                "residual_tol": sc.residual_tol,
                 "factor": specio.triplet_to_dict(sc.factor)}
 
-    # only the span check reads --tol; the other two are exact algebra
-    tolerances = {"tol": args.tol} if cert["kind"] == "span" else {}
-    manifest = _manifest(args, {"spec": specio.spec_hash(mu)}, tolerances, t0)
+    # every check is exact algebra: none reads a tolerance
+    manifest = _manifest(args, {"spec": specio.spec_hash(mu)}, {}, t0)
     cert["manifest"] = manifest.hash()
     _emit(args.out, cert)
     if args.out:
@@ -360,11 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="membership certificate")
     p_check.add_argument("spec")
     p_check.add_argument("--b", type=float, required=True)
-    p_check.add_argument("--level", type=int, default=0,
-                         help="nested class level m")
-    p_check.add_argument("--semistable", action="store_true",
-                         help="decide semi-stability instead (exact)")
-    p_check.add_argument("--tol", type=float, default=1e-8)
+    mode = p_check.add_mutually_exclusive_group()
+    mode.add_argument("--level", type=int, help="nested class level m")
+    mode.add_argument("--semistable", action="store_true",
+                      help="decide semi-stability instead")
     p_check.add_argument("--out", default=None,
                          help="certificate JSON path (default: stdout)")
     p_check.set_defaults(func=cmd_check)

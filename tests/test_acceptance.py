@@ -33,8 +33,7 @@ def test_criterion_01_factorization_identity():
         for b in (1.1, 2.0, 10.0):
             for rho in suites.corpus(d, b):
                 fwd = mp.forward_triplet(rho, b, tol=1e-12)
-                rep = mp.factorization_check(fwd, rho, b, grid=grid,
-                                             tol=1e-12)
+                rep = mp.factorization_check(fwd, rho, b, grid=grid)
                 worst = max(worst, rep.max_residual)
     _verdict(1, "factorization_identity", worst <= 1e-8,
              f"max residual {worst:.2e}")

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semiself import cli
 from semiself import mapping as mp
@@ -99,27 +101,34 @@ def test_check_exit_codes(tmp_path):
                      "--out", out]) == 0
 
 
-def test_check_level_records_no_tolerance(tmp_path):
-    # the nested ladder reads no --tol: two tolerances give the same
-    # certificate and manifests that differ only in the command line
+def test_check_records_no_tolerance(tmp_path):
+    # every check mode is exact algebra: none reads or records a tolerance
     g = write_spec(tmp_path, "g.json", GAUSS)
-    certs, manifests = [], []
-    for tol in ("1e-3", "1e-8"):
-        out = str(tmp_path / f"cert{tol}.json")
-        assert cli.main(["check", g, "--b", "2", "--level", "1", "--tol", tol,
-                         "--out", out]) == 0
-        certs.append(json.load(open(out)))
-        manifests.append(json.load(open(out[:-len(".json")]
-                                        + ".manifest.json")))
-    for cert in certs:
-        cert.pop("manifest")
-    for manifest in manifests:
-        assert manifest.pop("command")[-3] in ("1e-3", "1e-8")
-        manifest.pop("wall_time")
-        assert manifest["tolerances"] == {}
-    assert json.dumps(certs[0], sort_keys=True) == \
-        json.dumps(certs[1], sort_keys=True)
-    assert manifests[0] == manifests[1]
+    for flags in ([], ["--level", "1"], ["--semistable"]):
+        out = str(tmp_path / "cert.json")
+        assert cli.main(["check", g, "--b", "2", *flags, "--out", out]) == 0
+        assert json.load(open(str(tmp_path / "cert.manifest.json")))[
+            "tolerances"] == {}
+
+
+# the exact key set of each check kind's certificate
+CERT_KEYS = {
+    "span": ([], {"kind", "b", "verdict", "violations", "factor",
+                  "manifest"}),
+    "nested": (["--level", "2"], {"kind", "b", "m", "verdicts",
+                                  "first_violation", "factors", "manifest"}),
+    "semistable": (["--semistable"], {"kind", "b", "verdict", "a", "alpha",
+                                      "c", "witness", "manifest"})}
+
+
+@pytest.mark.parametrize("kind", sorted(CERT_KEYS))
+def test_certificate_formats(tmp_path, kind):
+    flags, keys = CERT_KEYS[kind]
+    spec = write_spec(tmp_path, "lat.json", FULL_LATTICE)
+    out = str(tmp_path / "cert.json")
+    assert cli.main(["check", spec, "--b", "2", *flags, "--out", out]) == 0
+    cert = json.load(open(out))
+    assert cert["kind"] == kind and set(cert) == keys
 
 
 def test_check_semistable(tmp_path):
@@ -188,17 +197,77 @@ def test_root_base_lattice_is_a_member_on_every_command(tmp_path):
         "exact_triplet"] is True
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the e^{iu} - 1 cancellation of ROADMAP 1(a) leaves a factorization "
-    "residual of 3e-4 in the span check; a base-2 lattice anchored at "
-    "2^(1/2) fails the same way"))
-def test_root_base_lattice_at_alpha_one_and_a_half_is_a_span_member(
-        tmp_path):
-    spec = write_spec(tmp_path, "root.json",
-                      _geometric_lattice(2 ** 0.5, 2 ** -0.75))
+@pytest.mark.parametrize("base,r,anchor", [
+    (2 ** 0.5, 2 ** -0.75, 1.0), (2.0, 2 ** -1.5, 2 ** 0.5)],
+    ids=["base-root-2", "anchor-root-2"])
+def test_root_lattice_at_alpha_one_and_a_half_is_a_span_member(
+        tmp_path, base, r, anchor):
+    # radii off the powers of 2: the span verdict is the factor's sign, the
+    # same decision as level 0 of the ladder
+    obj = _geometric_lattice(base, r)
+    obj["levy"][0]["anchor"] = anchor
+    spec = write_spec(tmp_path, "root.json", obj)
+    assert cli.main(["check", spec, "--b", "2"]) == 0
     assert cli.main(["check", spec, "--b", "2", "--level", "3"]) == 0
     assert cli.main(["check", spec, "--b", "2", "--semistable"]) == 0
-    assert cli.main(["check", spec, "--b", "2"]) == 0
+
+
+def test_span_check_evaluates_no_cumulant(tmp_path, monkeypatch):
+    calls = []
+    cumulant = tp.cumulant
+    monkeypatch.setattr(tp, "cumulant",
+                        lambda *a, **kw: calls.append(a) or cumulant(*a, **kw))
+    for name, obj in (("g.json", GAUSS), ("cp.json", CP1),
+                      ("lat.json", FULL_LATTICE),
+                      ("root.json", _geometric_lattice(2 ** 0.5, 2 ** -0.75))):
+        spec = write_spec(tmp_path, name, obj)
+        assert cli.main(["check", spec, "--b", "2"]) in (0, 1)
+    assert calls == []
+
+
+@st.composite
+def span_laws(draw):
+    """A Gaussian, atoms, or one or two lattices on base ``b`` or ``b^(1/n)``:
+    geometric on all integers, cut at either end, or two segments that meet
+    at an index, with ratios ``r`` on both sides of ``1/b``."""
+    b = draw(st.sampled_from([2.0, 3.0]))
+    kind = draw(st.sampled_from(["gauss", "atoms", "lattice", "lattice"]))
+    if kind == "gauss":
+        return tp.gaussian(draw(st.floats(0.1, 2.0))), b
+    if kind == "atoms":
+        return tp.compound_poisson(
+            [[draw(st.floats(0.2, 3.0))], [-draw(st.floats(0.2, 3.0))]],
+            [draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 2.0))]), b
+    comps = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.sampled_from([1, 1, 2, 3]))
+        ratio = [b ** (-draw(st.floats(0.2, 1.8)) / n) for _ in range(2)]
+        w = [draw(st.floats(0.1, 2.0)) for _ in range(2)]
+        shape = draw(st.sampled_from(["whole", "cut-below", "cut-above",
+                                      "two"]))
+        if shape == "two":
+            k = draw(st.integers(-5, 5))
+            segs = (ms.Segment(w[0], ratio[0], ms.NEG_INF, k),
+                    ms.Segment(w[1], ratio[1], k + 1, ms.POS_INF))
+        else:
+            segs = (ms.Segment(
+                w[0], ratio[0], -40 if shape == "cut-below" else ms.NEG_INF,
+                40 if shape == "cut-above" else ms.POS_INF),)
+        comps.append(ms.ScaleLattice([1.0], b ** (1.0 / n), segs,
+                                     draw(st.floats(0.5, 2.0))))
+    return tp.LevyTriplet(np.zeros((1, 1)), ms.LevyMeasure(tuple(comps)),
+                          np.array([draw(st.floats(-1.0, 1.0))])), b
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(span_laws())
+def test_span_verdict_is_level_zero_of_the_ladder(tmp_path_factory, case):
+    mu, b = case
+    verdict = mp.is_semi_selfdecomposable(mu, b).verdict
+    assert verdict == nested.is_nested_member(mu, b, 0).verdicts[0]
+    spec = write_spec(tmp_path_factory.mktemp("span"), "law.json",
+                      specio.triplet_to_dict(mu))
+    assert cli.main(["check", spec, "--b", repr(b)]) == (0 if verdict else 1)
 
 
 def test_other_lattice_bases_exit_3_on_every_membership_command(tmp_path,
@@ -211,13 +280,23 @@ def test_other_lattice_bases_exit_3_on_every_membership_command(tmp_path,
             err.count("\n") == 1
 
 
-def test_parse_error_exit_2(tmp_path):
+def test_parse_error_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "none.json")
     assert cli.main(["map", missing, "--b", "2",
                      "--out", str(tmp_path / "x")]) == 2
     bad = str(tmp_path / "bad.json")
     open(bad, "w").write("{not json")
     assert cli.main(["check", bad, "--b", "2"]) == 2
+    # check takes no --tol, and --semistable excludes --level
+    g = write_spec(tmp_path, "g.json", GAUSS)
+    out = tmp_path / "cert.json"
+    for flags, message in ((["--tol", "1e-8"], "unrecognized arguments"),
+                           (["--semistable", "--level", "3"], "not allowed"),
+                           (["--level", "0", "--semistable"], "not allowed")):
+        assert cli.main(["check", g, "--b", "2", *flags,
+                         "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_domain_error_exit_3(tmp_path):
@@ -456,7 +535,6 @@ BAD_FLAGS = [
     ("check", "--level", "-1"), ("check", "--level", str(nested.M_MAX + 1)),
     ("map", "--m", "-1"), ("map", "--m", str(nested.M_MAX + 1)),
     ("map", "--tol", "nan"), ("map", "--tol", "0"), ("map", "--tol", "inf"),
-    ("check", "--tol", "nan"), ("check", "--tol", "-1"),
     ("map", "--grid", "nan:3"), ("map", "--grid", "inf:3"),
     ("simulate", "--init", "nan"), ("simulate", "--init", "inf"),
     ("simulate", "--seed", "-1"),
