@@ -34,6 +34,7 @@ _DIR_DECIMALS = 9
 DROP_TOL = 1e-12     # relative size below which a merged segment is dropped
 FAMILY_TOL = 1e-9    # relative slack of skeleton offsets and lattice bases
 _ROUNDING = 1.0 + 2.0 ** -32  # relative rounding of a closed-form tail
+_LOG_MAX = math.log(np.finfo(float).max)  # log of the largest double
 
 
 def unit_direction(v) -> np.ndarray:
@@ -241,27 +242,57 @@ def _lower_end(lat: ScaleLattice, seg: Segment, small_c, small_p, budget):
     return K + 1, math.exp(min(bound_log(K), 300.0))
 
 
+def _out_of_range(seg: Segment, ends):
+    """The first finite index of ``ends`` where ``Segment.mass`` forms no
+    finite double, or None: ``r^k`` or ``w r^k`` passes the largest double,
+    ``k log r + log max(|w|, 1) > log DBL_MAX`` (the power only divides)."""
+    log_w = math.log(max(abs(seg.w), 1.0))
+    return next((int(k) for k in ends if abs(k) != POS_INF
+                 and k * math.log(seg.r) + log_w > _LOG_MAX), None)
+
+
+def radius_edge(lat: ScaleLattice) -> int:
+    """Last index at radius <= e^700, where every upward walk stops."""
+    return math.floor((700.0 - math.log(lat.anchor)) / math.log(lat.base))
+
+
+def require_walk(seg: Segment, klo, khi) -> None:
+    """The one bound on a walk over indices ``klo..khi`` of a segment: raise
+    ToleranceError past ``_ENUM_CAP`` indices, or where the mass at an end
+    leaves double range.  ``log m(k)`` is convex in ``k``, so the masses
+    between the ends stay in range with them."""
+    if khi - klo + 1 > _ENUM_CAP:
+        raise ToleranceError("lattice enumeration cap exceeded")
+    k = _out_of_range(seg, (klo, khi) if klo <= khi else ())
+    if k is not None:
+        raise ToleranceError(f"lattice mass at index {k} leaves double range")
+
+
 def _segment_window(lat: ScaleLattice, seg: Segment, env: Envelope, tol):
     """Index window ``[klo, khi]`` of one segment and a bound on ``|m| env``
     outside it: ``khi`` is the first index whose ``tail`` is within budget,
-    or radius e^700 for a power tail (the remainder goes to the bound)."""
-    logb, loga = math.log(lat.base), math.log(lat.anchor)
+    or radius e^700 for a power tail (the remainder goes to the bound).
+    Every window passes ``require_walk``."""
+    loga = math.log(lat.anchor)
     tol_part = max(tol, 1e-300) / 4.0
-    klo, tail_lo = _lower_end(lat, seg, env.small_c, env.small_p, tol_part)
+    klo, tail_bound = _lower_end(lat, seg, env.small_c, env.small_p, tol_part)
     if seg.kmax != POS_INF:
-        return klo, int(seg.kmax), tail_lo
-    k_edge = math.floor((700.0 - loga) / logb)  # last index at radius <= e^700
-    k_cap = klo + _ENUM_CAP - 1
-    khi = _first_within(lambda K: tail(lat, seg, K, env),
-                        max(klo, math.floor(-loga / logb)), min(k_edge, k_cap),
-                        tol_part / 8.0)
-    if khi is None:
-        if k_edge > k_cap:
-            raise ToleranceError("lattice enumeration cap exceeded")
-        khi = k_edge
-        if not seg.power or math.isinf(tail(lat, seg, khi, env)):
-            raise ToleranceError("lattice tail bound did not converge")
-    return klo, khi, tail_lo + tail(lat, seg, khi, env)
+        khi = int(seg.kmax)
+    else:
+        k_edge = radius_edge(lat)
+        k_last = min(k_edge, klo + _ENUM_CAP - 1)
+        khi = _first_within(lambda K: tail(lat, seg, K, env),
+                            max(klo, math.floor(-loga / math.log(lat.base))),
+                            k_last, tol_part / 8.0)
+        if khi is None:
+            if k_last < k_edge:
+                raise ToleranceError("lattice enumeration cap exceeded")
+            khi = k_edge
+            if not seg.power or math.isinf(tail(lat, seg, khi, env)):
+                raise ToleranceError("lattice tail bound did not converge")
+        tail_bound += tail(lat, seg, khi, env)
+    require_walk(seg, klo, khi)
+    return klo, khi, tail_bound
 
 
 def _enumerate_component(comp, env: Envelope, tol):
@@ -308,6 +339,11 @@ def sum_over_measure(levy: LevyMeasure, f, *, envelope: Envelope, tol):
 
 
 def component_violations(comp) -> list:
+    """Why a component is not part of a valid Levy measure, decided exactly
+    from its data: ``integral (|x|^2 ^ 1) nu(dx)`` is finite iff each
+    segment reaching index -inf has ``r b^2 > 1`` and each reaching +inf
+    has ``r < 1`` (or ``r == 1`` and ``power > 1``); a finite end whose mass
+    leaves double range is refused too.  Empty when valid."""
     out = []
     if isinstance(comp, Atoms):
         with np.errstate(over="ignore"):
@@ -334,20 +370,10 @@ def component_violations(comp) -> list:
                 out.append("total mass beyond radius 1 diverges")
             if seg.kmin == NEG_INF and seg.r * b * b <= 1.0 + 1e-12:
                 out.append("integral of |x|^2 near 0 diverges")
+            k = _out_of_range(seg, (seg.kmin, seg.kmax))
+            if k is not None:
+                out.append(f"lattice mass at index {k} leaves double range")
     return out
-
-
-def square_one_integral(levy: LevyMeasure) -> float:
-    """``integral (|x|^2 ^ 1) nu(dx)`` -- finite iff the measure is valid."""
-
-    def f(pts):
-        with np.errstate(over="ignore"):
-            n2 = np.sum(pts * pts, axis=1)
-        return np.minimum(n2, 1.0)
-
-    v, _ = sum_over_measure(levy, f, envelope=Envelope(1.0, 2, (1.0,)),
-                            tol=1e-10)
-    return float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +491,20 @@ def canonical_families(levy: LevyMeasure, b: float) -> dict:
             shift += 1
             frac -= 1.0
         a0 = math.exp(frac * logb)
+        try:
+            w = seg.w * seg.r ** (-shift)
+        except OverflowError:
+            w = math.inf
+        # rebasing keeps every mass, but the weight and the ends' r^k move
+        moved = Segment(w=w, r=seg.r, kmin=seg.kmin + shift,
+                        kmax=seg.kmax + shift)
+        if math.isinf(w) or (seg.w and not w) \
+                or _out_of_range(moved, (moved.kmin, moved.kmax)) is not None:
+            raise ToleranceError(f"lattice weight {seg.w!r} rebased by "
+                                 f"{shift} indices leaves double range")
         key = _family_key(direction, frac)
         fam = fams.setdefault(key, Family(np.asarray(direction), b, a0, []))
-        fam.segments.append(Segment(
-            w=seg.w * seg.r ** (-shift) if seg.r != 1.0 else seg.w,
-            r=seg.r, kmin=seg.kmin + shift, kmax=seg.kmax + shift))
+        fam.segments.append(moved)
 
     for comp in levy.components:
         if isinstance(comp, Atoms):
@@ -503,8 +538,19 @@ def canonical_families(levy: LevyMeasure, b: float) -> dict:
     return fams
 
 
+def _log_scale(seg: Segment) -> float:
+    """``log |m(k)|`` at the larger of a segment's finite ends, or ``log |w|``
+    when its lower end is infinite, formed without ``r^k``."""
+    ends = [0] if seg.kmin == NEG_INF else [k for k in (seg.kmin, seg.kmax)
+                                            if k != POS_INF]
+    lw = math.log(abs(seg.w)) if seg.w else NEG_INF
+    return lw + max(k * math.log(seg.r) for k in ends)
+
+
 def simplify_segments(segments: Sequence[Segment]) -> list:
-    """Merge same-ratio segments over the common refinement of their ranges."""
+    """Merge same-ratio segments over the common refinement of their ranges,
+    dropping a piece whose scale (``_log_scale``) is below ``DROP_TOL`` of
+    the largest input's, so that the result does not depend on the anchor."""
     if not segments:
         return []
     bounds = set()
@@ -514,7 +560,7 @@ def simplify_segments(segments: Sequence[Segment]) -> list:
         if s.kmax != POS_INF:
             bounds.add(s.kmax + 1)
     cuts = [NEG_INF] + sorted(bounds) + [POS_INF]
-    wmax = max(abs(s.w) for s in segments)
+    floor = math.log(DROP_TOL) + max(_log_scale(s) for s in segments)
     out = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         kmax = hi - 1 if hi != POS_INF else POS_INF
@@ -525,13 +571,9 @@ def simplify_segments(segments: Sequence[Segment]) -> list:
             if s.kmin <= lo and s.kmax >= kmax:
                 by_r[s.r] = by_r.get(s.r, 0.0) + s.w
         for r, w in sorted(by_r.items()):
-            scale = abs(w)
-            if r != 1.0 and lo != NEG_INF and kmax != POS_INF:
-                scale = max(abs(w * r**lo), abs(w * r**kmax))
-            elif r != 1.0 and lo != NEG_INF:
-                scale = abs(w * r**lo)
-            if scale > DROP_TOL * wmax:
-                out.append(Segment(w=w, r=r, kmin=lo, kmax=kmax))
+            piece = Segment(w=w, r=r, kmin=lo, kmax=kmax)
+            if _log_scale(piece) > floor:
+                out.append(piece)
     return out
 
 
@@ -571,8 +613,9 @@ def _dominance(terms):
 
 def segments_nonnegative(segments: Sequence[Segment]):
     """Decide ``m(k) >= 0`` for all integer k; returns (ok, witness_index):
-    each index up to where ``_dominance`` fixes the sign, then its weight."""
-    if not segments:
+    at once when no weight is negative, else each index up to where
+    ``_dominance`` fixes the sign, then its weight."""
+    if all(s.w >= 0.0 for s in segments):
         return True, None
     finite = [k for s in segments for k in (s.kmin, s.kmax) if abs(k) != POS_INF]
     lo, hi = (int(min(finite)), int(max(finite))) if finite else (0, 0)

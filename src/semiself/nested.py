@@ -2,9 +2,9 @@
 
 The (m+1)-fold iterate has cumulant ``sum_k C(k+m, m) C_mu(b^{-k} z)``; the
 binomial weights arise because the iterate is a stochastic time change by the
-inverse of the piecewise-linear ``ramp_integral``.  Membership at level m is
-decided by peeling off inverse factors m+1 times and requiring every factor's
-measure to stay nonnegative.
+inverse of the piecewise-linear ramp ``f(u) = integral_0^u C([v]+m, m) dv``.
+Membership at level m is decided by peeling off inverse factors m+1 times and
+requiring every factor's measure to stay nonnegative.
 """
 
 from __future__ import annotations
@@ -28,55 +28,6 @@ def _check_level(m: int) -> int:
     if m > M_MAX:
         raise ValueError(f"level m capped at {M_MAX}")
     return int(m)
-
-
-# ---------------------------------------------------------------------------
-# the time-change function and its inverse
-
-
-def ramp_integral(m: int, u) -> np.ndarray:
-    """``f(u) = integral_0^u C([v]+m, m) dv``: piecewise linear with slope
-    C(k+m, m) on [k, k+1) and integer values f(k) = C(k+m, m+1)."""
-    m = _check_level(m)
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0):
-        raise ValueError("argument must be nonnegative")
-    k = np.floor(u).astype(int)
-    base = np.vectorize(lambda kk: float(math.comb(kk + m, m + 1)))(k)
-    slope = np.vectorize(lambda kk: float(math.comb(kk + m, m)))(k)
-    out = base + (u - k) * slope
-    return out if out.ndim else float(out)
-
-
-def ramp_integral_inverse(m: int, y) -> np.ndarray:
-    """Inverse of :func:`ramp_integral`: locate the integer cell by binary
-    search on the closed-form values, then invert the linear piece."""
-    m = _check_level(m)
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0.0):
-        raise ValueError("argument must be nonnegative")
-
-    def inv_one(yy):
-        lo, hi = 0, 1
-        while math.comb(hi + m, m + 1) <= yy:
-            hi *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if math.comb(mid + m, m + 1) <= yy:
-                lo = mid
-            else:
-                hi = mid
-        return lo + (yy - math.comb(lo + m, m + 1)) / math.comb(lo + m, m)
-
-    out = np.vectorize(inv_one)(y)
-    return out if out.ndim else float(out)
-
-
-def binom_identity_check(n: int, k: int) -> bool:
-    """Exact hockey-stick identity ``sum_{j=0}^{n-k} C(n-j, k) = C(n+1, k+1)``."""
-    if not 0 <= k <= n:
-        raise ValueError("needs 0 <= k <= n")
-    return sum(math.comb(n - j, k) for j in range(n - k + 1)) == math.comb(n + 1, k + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -57,18 +57,22 @@ class EmpiricalCF:
 
 def _segment_upper_points(seg: ms.Segment, lat: ms.ScaleLattice, k_from):
     """Indices >= k_from carrying all but MASS_TOL of the segment mass: to
-    two past the first ``K`` where the ``tail`` of ``r^(k - k_from)`` is.
-    A valid segment without a power that runs to ``+inf`` has ``r < 1``."""
+    two past the first ``K`` where the ``tail`` of ``r^(k - k_from)`` is,
+    within ``ms.radius_edge`` and ``ms.require_walk``.  A valid segment
+    without a power that runs to ``+inf`` has ``r < 1``."""
     if seg.kmin != ms.NEG_INF:
         k_from = max(k_from, int(seg.kmin))
     if seg.kmax != ms.POS_INF:
-        if k_from > seg.kmax:
-            return np.zeros(0, dtype=int)
-        return np.arange(k_from, int(seg.kmax) + 1)
-    unit = ms.Segment(w=1.0, r=seg.r)
-    J = ms._first_within(lambda J: ms.tail(lat, unit, J, ms.Envelope(
-        0.0, 2, (1.0,))), 0, 1 << 62, MASS_TOL)
-    return np.arange(k_from, k_from + J + 3)
+        k_to = int(seg.kmax)
+    else:
+        unit = ms.Segment(w=1.0, r=seg.r)
+        J = ms._first_within(lambda J: ms.tail(lat, unit, J, ms.Envelope(
+            0.0, 2, (1.0,))), 0, ms.radius_edge(lat) - k_from - 2, MASS_TOL)
+        if J is None:
+            raise ToleranceError("lattice jump pool passes radius e^700")
+        k_to = k_from + J + 2
+    ms.require_walk(seg, k_from, k_to)
+    return np.arange(k_from, k_to + 1)
 
 
 def _small_jump_variance(lat: ms.ScaleLattice, k_eps: int) -> float:
@@ -79,8 +83,13 @@ def _small_jump_variance(lat: ms.ScaleLattice, k_eps: int) -> float:
         top = min(k_eps - 1, seg.kmax)
         n, q = top - seg.kmin + 1, seg.r * lat.base * lat.base  # n = inf: q > 1
         if n > 0:
-            total += seg.w * lat.anchor ** 2 * (n if q == 1.0 else q ** top * (
-                -math.expm1(-n * math.log(q))) / (1.0 - 1.0 / q))
+            try:  # a^2 or q^top alone can leave double range
+                geometric = n if q == 1.0 else q ** top * (
+                    -math.expm1(-n * math.log(q))) / (1.0 - 1.0 / q)
+                total += seg.w * lat.anchor ** 2 * geometric
+            except OverflowError:
+                raise ToleranceError("lattice small-jump variance leaves "
+                                     "double range") from None
     return total
 
 
@@ -104,6 +113,7 @@ def _lattice_jump_pool(lat: ms.ScaleLattice, k_eps: int):
         if top < seg.kmin or budget == 0.0:
             continue
         klo, _ = ms._lower_end(lat, seg, 1.0, 2, budget)
+        ms.require_walk(seg, klo, top)
         ks = np.arange(top, klo - 1, -1, dtype=float)
         r, m = lat.radius(ks), seg.mass(ks)
         term2 = m * r * r

@@ -171,21 +171,6 @@ def suite_iterate(seed: int = 42) -> dict:
     g = tp.gaussian(1.0)
     pu = tp.poisson_unit()
 
-    worst = 0.0
-    exact = True
-    u = np.linspace(0.0, 50.0, 211)
-    for m in range(7):
-        rt = nt.ramp_integral_inverse(m, nt.ramp_integral(m, u))
-        worst = max(worst, float(np.max(np.abs(rt - u))))
-        for k in range(51):
-            exact = exact and nt.ramp_integral(m, float(k)) == math.comb(k + m, m + 1)
-    checks.append(_check("ramp_integer_values_exact", exact, 0.0))
-    checks.append(_check("ramp_inverse_identity", worst < 1e-12, worst))
-
-    ok = all(nt.binom_identity_check(n, k)
-             for n in range(61) for k in range(n + 1))
-    checks.append(_check("binomial_identity", ok, 0.0))
-
     v = nt.iterated_cumulant(g, 2.0, 1, 1.0).values[0]
     checks.append(_check("iterated_gaussian_oracle", abs(v + 8.0 / 9.0) < 1e-10,
                          abs(v + 8.0 / 9.0)))

@@ -593,18 +593,13 @@ def test_invalid_spec_exit_2(tmp_path, capsys, command, spec_id):
     assert not out.exists()
 
 
-# a lattice that is both invalid and outside the domain, one whose mass
-# decays too slowly to bound, and a constant mass running to +inf that only
-# the validity guard refuses: each exits alike on every command, because the
-# validity guard runs first
+# a lattice that is both invalid and outside the domain, and a constant
+# mass running to +inf that only the validity guard refuses: each exits
+# alike on every command, because the validity guard runs first
 GUARD_ORDER = {
     "divergent-mass": ({"schema": 1, "levy": [{
         "kind": "lattice", "direction": [1.0], "base": 2.0, "anchor": 1.0,
         "segments": [{"w": 1.0, "r": 1.5, "kmin": 1, "kmax": "inf"}]}]}, 2),
-    "slow-lattice": ({"schema": 1, "levy": [{
-        "kind": "lattice", "direction": [1.0], "base": 2.0, "anchor": 1.0,
-        "segments": [{"w": 1.0, "r": 0.999999, "kmin": 1, "kmax": "inf"}]}]},
-        4),
     "constant-mass-to-inf": ({"schema": 1, "levy": [{
         "kind": "lattice", "direction": [1.0], "base": 2.0, "anchor": 1.0,
         "segments": [{"w": 1.0, "r": 1.0, "kmin": 1, "kmax": "inf"}]}]}, 2)}
@@ -627,6 +622,98 @@ def test_validity_guard_runs_first(tmp_path, capsys, command, spec_id):
     assert not out.exists()
 
 
+def _base2_lattice(*segments, anchor=1.0):
+    return {"schema": 1, "levy": [{
+        "kind": "lattice", "direction": [1.0], "base": 2.0, "anchor": anchor,
+        "segments": [dict({"kmin": "-inf", "kmax": "inf"}, **seg)
+                     for seg in segments]}]}
+
+
+# valid laws near alpha = 2, slowly decaying lattices and finite ends whose
+# mass leaves double range, with the exit code of each command below: the
+# segment rules decide validity exactly, so the checks give their verdicts,
+# and a walk that passes the enumeration cap, radius e^700 or double range
+# exits 4
+NEAR_QUARTER = 0.25 * (1.0 + 1e-11)   # r b^2 = 1 + 4e-11
+VALIDITY_TABLE = {
+    "semistable-1.95": ({"schema": 1, "levy": [
+        {"kind": "semistable", "b": 2, "alpha": 1.95}]},
+        (0, 0, 0, 4, 4, 4, 4)),
+    "r0.26": (_base2_lattice({"w": 1.0, "r": 0.26}), (0, 0, 0, 4, 4, 4, 4)),
+    "r0.26-kmax0": (_base2_lattice({"w": 1.0, "r": 0.26, "kmax": 0}),
+                    (0, 0, 1, 4, 4, 4, 4)),
+    "near-quarter": (_base2_lattice({"w": 1.0, "r": NEAR_QUARTER}),
+                     (0, 0, 0, 4, 4, 4, 4)),
+    "near-quarter-kmax0": (
+        _base2_lattice({"w": 1.0, "r": NEAR_QUARTER, "kmax": 0}),
+        (0, 0, 1, 4, 4, 4, 4)),
+    "slow-lattice": (_base2_lattice({"w": 1.0, "r": 0.999999, "kmin": 1}),
+                     (1, 1, 1, 4, 4, 4, 4)),
+    "r0.9998-kmin1": (_base2_lattice({"w": 1.0, "r": 0.9998, "kmin": 1}),
+                      (1, 1, 1, 4, 4, 4, 4)),
+    "w1e-3-r0.97-kmin1": (
+        _base2_lattice({"w": 1e-3, "r": 0.97, "kmin": 1}),
+        (1, 1, 1, 4, 0, 4, 4)),
+    "mass-overflow-low-end": (
+        _base2_lattice({"w": 1.0, "r": 0.01, "kmin": -1000, "kmax": 0}),
+        (2,) * 7),
+    "mass-overflow-weight": (
+        _base2_lattice({"w": 1e300, "r": 0.5, "kmin": -100, "kmax": 5}),
+        (2,) * 7),
+}
+VALIDITY_COMMANDS = {
+    "check": ["check"], "level": ["check", "--level", "2"],
+    "semistable": ["check", "--semistable"],
+    "map": ["map", "--grid", "2:3"], "inverse": ["map", "--inverse"],
+    "simulate": ["simulate", "--steps", "3", "--paths", "50"],
+    "simulate-limit": ["simulate", "--steps", "3", "--paths", "50",
+                       "--init", "limit"]}
+VALIDITY_CASES = [(s, c, code) for s, (_, codes) in VALIDITY_TABLE.items()
+                  for c, code in zip(VALIDITY_COMMANDS, codes)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec_id,command,code", VALIDITY_CASES,
+                         ids=[f"{s}-{c}" for s, c, _ in VALIDITY_CASES])
+def test_validity_decision_exits(tmp_path, capsys, spec_id, command, code):
+    spec = write_spec(tmp_path, "lat.json", VALIDITY_TABLE[spec_id][0])
+    sub, *flags = VALIDITY_COMMANDS[command]
+    out = tmp_path / ("cert.json" if sub == "check" else "x")
+    assert cli.main([sub, spec, "--b", "2", *flags, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code >= 2:
+        assert err.count("\n") == 1 and not out.exists()
+        if spec_id.startswith("mass-overflow"):
+            assert "leaves double range" in err and "index -" in err
+        return
+    assert err == ""
+    written = [out] if out.is_file() else list(out.iterdir())
+    for path in written:
+        text = path.read_text()
+        assert "NaN" not in text and "Infinity" not in text
+
+
+# a law with a negative factor mass at index -1, moved 332 indices out: the
+# verdict of each check and the span witness move with it, and no mass is
+# dropped against the large weight the rebasing gives it
+@pytest.mark.parametrize("flags", [[], ["--level", "1"], ["--semistable"]],
+                         ids=["span", "level", "semistable"])
+def test_checks_do_not_depend_on_the_anchor(tmp_path, capsys, flags):
+    certs = []
+    for anchor in (1.0, 2.0 ** 332):
+        spec = write_spec(tmp_path, "lat.json", _base2_lattice(
+            {"w": 1.0, "r": 0.5, "kmin": 0, "kmax": 10}, anchor=anchor))
+        out = tmp_path / "cert.json"
+        assert cli.main(["check", spec, "--b", "2", *flags,
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        certs.append(json.load(open(out)))
+    if not flags:
+        assert [c["violations"] for c in certs] == [[[[1.0], -1]],
+                                                    [[[1.0], 331]]]
+
+
 def _one_segment(**bounds):
     seg = dict({"w": 1.0, "r": 0.5, "kmin": 0, "kmax": "inf"}, **bounds)
     return {"schema": 1, "levy": [{"kind": "lattice", "direction": [1.0],
@@ -634,8 +721,9 @@ def _one_segment(**bounds):
                                    "segments": [seg] if bounds else []}]}
 
 
-# specs the reader or the validity guard refuses on every command, and an
-# atom weight whose Poisson intensity no draw can take
+# specs the reader or the validity guard refuses on every command, an atom
+# weight whose Poisson intensity no draw can take, and far anchors whose
+# rebased weight or small-jump variance leaves double range
 REFUSED = {
     "kmin-fraction": _one_segment(kmin=0.5),
     "kmin-string": _one_segment(kmin="3"),
@@ -650,11 +738,24 @@ REFUSED = {
     "atom-underflow": {"schema": 1, "levy": [
         {"kind": "atoms", "points": [[1e-200]], "weights": [1.0]}]},
     "atom-weight": {"schema": 1, "levy": [
-        {"kind": "atoms", "points": [[1.0]], "weights": [1e300]}]}}
+        {"kind": "atoms", "points": [[1.0]], "weights": [1e300]}]},
+    # rebasing to the span-2 skeleton takes 0.1 to the power -996
+    "anchor-rebase": _base2_lattice({"w": 1.0, "r": 0.1, "kmin": 0,
+                                     "kmax": 10}, anchor=1e300),
+    # valid, but the sampler's small-jump variance squares the anchor
+    "variance-overflow": _base2_lattice({"w": 0.7, "r": 0.5, "kmax": 5},
+                                        anchor=1e300)}
 REFUSED_COMMANDS = {"map": ["map", "--grid", "2:3"], "check": ["check"],
-                    "simulate": ["simulate", "--paths", "20", "--steps", "3"]}
-REFUSED_CASES = [(s, c, 2) for s in REFUSED if s != "atom-weight"
-                 for c in REFUSED_COMMANDS] + [("atom-weight", "simulate", 4)]
+                    "simulate": ["simulate", "--paths", "20", "--steps", "3"],
+                    "semistable": ["check", "--semistable"]}
+# specs only some commands refuse, with exit 4
+LATE_REFUSALS = [("atom-weight", "simulate", 4), ("anchor-rebase", "map", 4),
+                 ("anchor-rebase", "check", 4),
+                 ("anchor-rebase", "semistable", 4),
+                 ("variance-overflow", "simulate", 4)]
+REFUSED_CASES = [(s, c, 2) for s in REFUSED
+                 if s not in {late for late, _, _ in LATE_REFUSALS}
+                 for c in ("map", "check", "simulate")] + LATE_REFUSALS
 
 
 @pytest.mark.filterwarnings("error")

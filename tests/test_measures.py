@@ -174,12 +174,6 @@ def test_require_log_moment_agrees_with_the_sum(levy, p):
     assert accepted == finite
 
 
-def test_square_one_integral_atoms():
-    levy = ms.LevyMeasure((ms.Atoms([[0.5], [3.0]], [2.0, 1.0]),))
-    # 2 * 0.25 + 1 * 1
-    assert ms.square_one_integral(levy) == pytest.approx(1.5)
-
-
 def test_measure_refuses_other_components():
     # every function branches on Atoms or else ScaleLattice
     with pytest.raises(TypeError, match="Atoms or ScaleLattice"):
@@ -193,9 +187,12 @@ def test_origin_mass_rejected():
 
 
 def test_lower_tail_divergence_detected():
+    # r b^2 = 1: the |x|^2 mass near the origin sums to infinity
     lat = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=1.0, r=0.25),))
-    with pytest.raises(InvalidTripletError):
-        ms.square_one_integral(ms.LevyMeasure((lat,)))
+    mu = tp.LevyTriplet(np.zeros((1, 1)), ms.LevyMeasure((lat,)), [0.0])
+    assert tp.validate(mu) == ("integral of |x|^2 near 0 diverges",)
+    with pytest.raises(InvalidTripletError, match="near 0 diverges"):
+        tp.require_valid(mu)
 
 
 def test_difference_segments_geometric():
@@ -294,7 +291,7 @@ WINDOW_CASES = {
     "kmin-inf": (2.0, 1.3, ms.Segment(w=0.8, r=0.6)),
     "signed": (2.0, 1.0, ms.Segment(w=-0.2, r=0.5, kmin=3)),
 }
-# (envelope, tol) of square_one_integral, of tp.cumulant at |z| <= 5,
+# (envelope, tol) of the integrand |x|^2 ^ 1, of tp.cumulant at |z| <= 5,
 # of an envelope growing like log R, and of the --m 1 forward series at
 # |z| <= 2 with --tol 1e-4
 WINDOW_ENVELOPES = {

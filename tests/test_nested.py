@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,31 +7,6 @@ from semiself import mapping as mp
 from semiself import measures as ms
 from semiself import nested as nt
 from semiself import triplets as tp
-
-
-def test_ramp_integral_frozen_values():
-    assert nt.ramp_integral(1, 3.0) == pytest.approx(6.0)   # C(4, 2)
-    assert nt.ramp_integral(2, 2.0) == pytest.approx(4.0)   # C(4, 3)
-    assert nt.ramp_integral(0, 7.5) == pytest.approx(7.5)   # identity at m=0
-
-
-def test_ramp_integer_values_exact():
-    for m in range(7):
-        for k in range(51):
-            assert nt.ramp_integral(m, float(k)) == math.comb(k + m, m + 1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=6),
-       st.floats(min_value=0.0, max_value=50.0))
-def test_ramp_inverse_identity(m, u):
-    assert nt.ramp_integral_inverse(m, nt.ramp_integral(m, u)) == \
-        pytest.approx(u, abs=1e-12)
-
-
-def test_binomial_identity_exact():
-    assert all(nt.binom_identity_check(n, k)
-               for n in range(61) for k in range(n + 1))
 
 
 def test_iterated_gaussian_oracle():
