@@ -9,7 +9,7 @@ from .mapping import (FactorizationReport, InverseFactor,
                       is_semi_selfdecomposable)
 from .measures import Atoms, LevyMeasure, ScaleLattice, Segment, log_moment
 from .nested import (NestedCertificate, SemiStableCertificate, SemiStableSpec,
-                     is_nested_member, is_semi_stable, iterated_cumulant,
+                     is_nested_member, is_semi_stable,
                      iterated_forward_triplet, semi_stable_triplet)
 from .ou import (OUConfig, PathBundle, limit_cumulant, sample_limit_law,
                  solve_path, transition_cumulant, validate_limit,
@@ -32,12 +32,12 @@ __all__ = [
     "UnsupportedComponentError", "compound_poisson", "cumulant",
     "cumulant_at", "ecf", "factorization_check", "forward_cumulant",
     "forward_triplet", "gaussian", "inverse_factor", "is_nested_member",
-    "is_semi_selfdecomposable", "is_semi_stable", "iterated_cumulant",
-    "iterated_forward_triplet", "limit_cumulant", "load_triplet",
-    "log_moment", "poisson_unit", "require_valid", "run_suite", "sample",
-    "sample_limit_law", "scale", "semi_stable_triplet", "solve_path",
-    "spec_hash", "transition_cumulant", "triplet_from_dict",
-    "triplet_to_dict", "validate", "validate_limit", "verify_langevin",
+    "is_semi_selfdecomposable", "is_semi_stable", "iterated_forward_triplet",
+    "limit_cumulant", "load_triplet", "log_moment", "poisson_unit",
+    "require_valid", "run_suite", "sample", "sample_limit_law", "scale",
+    "semi_stable_triplet", "solve_path", "spec_hash", "transition_cumulant",
+    "triplet_from_dict", "triplet_to_dict", "validate", "validate_limit",
+    "verify_langevin",
 ]
 
 __version__ = "0.1.0"

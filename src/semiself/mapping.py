@@ -178,31 +178,11 @@ def forward_triplet(rho: tp.LevyTriplet, b: float,
             comps.extend(ms.segments_to_components(fam.direction, b, fam.anchor, segs))
     levy_out = ms.LevyMeasure(tuple(comps))
 
-    gamma_out = rho.drift / (1.0 - 1.0 / b)
-    if rho.levy.components:
-
-        def centering_series(points):
-            n2 = np.sum(points * points, axis=1)
-            xmax = math.sqrt(float(np.max(n2))) if n2.size else 0.0
-            acc = np.zeros_like(points)
-            j = 0
-            while True:
-                bj = b ** (-j)
-                factor = bj * (1.0 / (1.0 + bj * bj * n2) - 1.0 / (1.0 + n2))
-                acc += factor[:, None] * points
-                tail = b ** (-(j + 1)) * xmax / (1.0 - 1.0 / b)
-                if tail < tol / 4.0:
-                    break
-                j += 1
-                if j > MAX_SERIES_TERMS:
-                    raise ToleranceError("centering series cap exceeded")
-            return acc
-
-        shift, _ = ms.sum_over_measure(
-            rho.levy, centering_series,
-            envelope=ms.Envelope(1.0 / (1.0 - 1.0 / b), 3,
-                                 (3.0 / (1.0 - 1.0 / b),)), tol=tol)
-        gamma_out = gamma_out + shift
+    # read off the inverse relation gamma_rho = (1 - 1/b) gamma_out - T
+    # with T the centering shift of the image measure at s = 1/b; T's
+    # budget is scaled so that gamma_out stays within tol after the division
+    shift, _ = tp.centering_shift(levy_out, 1.0 / b, tol * (1.0 - 1.0 / b))
+    gamma_out = (rho.drift + shift) / (1.0 - 1.0 / b)
 
     return tp._inherit_valid(tp.LevyTriplet(A_out, levy_out, gamma_out), rho)
 
@@ -245,20 +225,8 @@ def inverse_factor(mu: tp.LevyTriplet, b: float,
             comps.extend(ms.segments_to_components(fam.direction, b, fam.anchor, segs))
     levy_rho = ms.LevyMeasure(tuple(comps))
 
-    gamma_rho = (1.0 - 1.0 / b) * mu.drift
-    drift_err = 0.0
-    if mu.levy.components:
-
-        def pushforward_centering(points):
-            n2 = np.sum(points * points, axis=1)
-            scaled = points / b
-            s2 = n2 / (b * b)
-            return scaled * (1.0 / (1.0 + s2) - 1.0 / (1.0 + n2))[:, None]
-
-        T, drift_err = ms.sum_over_measure(
-            mu.levy, pushforward_centering, tol=tol,
-            envelope=ms.Envelope((1.0 - b ** (-2)) / b, 3, (b,), decay=1))
-        gamma_rho = gamma_rho - T
+    T, drift_err = tp.centering_shift(mu.levy, 1.0 / b, tol)
+    gamma_rho = (1.0 - 1.0 / b) * mu.drift - T
 
     rho = tp._inherit_valid(tp.LevyTriplet(A_rho, levy_rho, gamma_rho), mu,
                             not violations)

@@ -1,8 +1,9 @@
 """Iterates of the span-b map and the nested membership ladder.
 
-The (m+1)-fold iterate has cumulant ``sum_k C(k+m, m) C_mu(b^{-k} z)``; the
-binomial weights arise because the iterate is a stochastic time change by the
-inverse of the piecewise-linear ramp ``f(u) = integral_0^u C([v]+m, m) dv``.
+The (m+1)-fold iterate has cumulant ``sum_k C(k+m, m) C_mu(b^{-k} z)``, which
+``mapping.forward_cumulant(mu, b, z, m=m)`` sums; the binomial weights arise
+because the iterate is a stochastic time change by the inverse of the
+piecewise-linear ramp ``f(u) = integral_0^u C([v]+m, m) dv``.
 Membership at level m is decided by peeling off inverse factors m+1 times and
 requiring every factor's measure to stay nonnegative.
 """
@@ -32,14 +33,6 @@ def _check_level(m: int) -> int:
 
 # ---------------------------------------------------------------------------
 # iterated forward map
-
-
-def iterated_cumulant(mu: tp.LevyTriplet, b: float, m: int,
-                      z) -> tp.CumulantGrid:
-    """Cumulant of the (m+1)-fold mapped law; requires a finite (m+1)-th
-    log-moment (the exact domain of the iterate)."""
-    m = _check_level(m)
-    return mp.forward_cumulant(mu, b, z, m=m)
 
 
 def iterated_forward_triplet(mu: tp.LevyTriplet, b: float, m: int) -> tp.LevyTriplet:

@@ -204,7 +204,11 @@ class Sampler:
             # jumps, add the mean of the compensated small jumps
             shift = trip.drift.astype(float).copy()
             if points.shape[0]:
-                n2 = np.sum(points * points, axis=1)
+                # past |x| ~ 1.3e154, |x|^2 overflows to inf and the
+                # centering x / (1 + |x|^2) reads its limit 0; the term it
+                # drops is below 1 / |x| per unit mass
+                with np.errstate(over="ignore"):
+                    n2 = np.sum(points * points, axis=1)
                 shift -= (masses / (1.0 + n2)) @ points
             shift += comp_mean
             self._pools = (points, masses, trip.gauss + comp_cov, shift, meta)

@@ -336,16 +336,30 @@ def scale(triplet: LevyTriplet, s: float) -> LevyTriplet:
             comps.append(ms.ScaleLattice(c.direction, c.base, c.segments,
                                          s * c.anchor))
 
-    def shift_integrand(points):
-        n2 = np.sum(points * points, axis=1)
-        return s * points * (1.0 / (1.0 + s * s * n2) - 1.0 / (1.0 + n2))[:, None]
-
-    shift = np.zeros(triplet.dim)
-    if triplet.levy.components:
-        c_small = s * abs(1.0 - s * s)
-        shift, _ = ms.sum_over_measure(
-            triplet.levy, shift_integrand,
-            envelope=ms.Envelope(max(c_small, 1e-30), 3, (s + 1.0 / s,),
-                                 decay=1), tol=1e-12)
+    shift, _ = centering_shift(triplet.levy, s, 1e-12)
     return LevyTriplet(s * s * triplet.gauss, ms.LevyMeasure(tuple(comps)),
                        s * triplet.drift + shift)
+
+
+def centering_shift(levy: ms.LevyMeasure, s: float, tol: float):
+    """The drift that pushing ``levy`` forward by ``x -> s x`` adds, with
+    the window tails that bound its error:
+
+        integral s x (1/(1 + s^2 |x|^2) - 1/(1 + |x|^2)) nu(dx)
+
+    ``scale`` adds it to ``s gamma``; the span-b maps read it at ``s = 1/b``
+    (``0.0`` for a measure without components)."""
+
+    def shift_integrand(points):
+        # past |x| ~ 1.3e154, |x|^2 overflows to inf and the factor reads
+        # its limit 0; the term it drops is below (s + 1/s) / |x| per unit
+        # mass
+        with np.errstate(over="ignore"):
+            n2 = np.sum(points * points, axis=1)
+        return s * points * (1.0 / (1.0 + s * s * n2) - 1.0 / (1.0 + n2))[:, None]
+
+    c_small = s * abs(1.0 - s * s)
+    return ms.sum_over_measure(
+        levy, shift_integrand,
+        envelope=ms.Envelope(max(c_small, 1e-30), 3, (s + 1.0 / s,), decay=1),
+        tol=tol)

@@ -101,9 +101,9 @@ def test_criterion_07_iteration():
     pu = tp.poisson_unit()
     twice = mp.forward_cumulant(mp.forward_triplet(pu, 2.0), 2.0, z,
                                 tol=1e-10).values
-    direct = nt.iterated_cumulant(pu, 2.0, 1, z).values
+    direct = mp.forward_cumulant(pu, 2.0, z, m=1).values
     comp_gap = float(np.max(np.abs(twice - direct)))
-    v = nt.iterated_cumulant(tp.gaussian(1.0), 2.0, 1, 1.0).values[0]
+    v = mp.forward_cumulant(tp.gaussian(1.0), 2.0, 1.0, m=1).values[0]
     oracle_gap = abs(v + 8.0 / 9.0)
     ok = comp_gap <= 5e-8 and oracle_gap <= 1e-10
     _verdict(7, "iteration", ok,
@@ -165,7 +165,7 @@ def test_criterion_09_domain_boundaries(tmp_path):
 # sha256 of the seed-42 verify summary without its manifest: it pins every
 # ECF gap and confidence radius the suites report
 VERIFY_ALL_42_SHA = \
-    "e7f23c69a4bff013e5188784434bf2d98780dbeb17c0a2008b7ef045b34b91b8"
+    "57c3af38d87c48fe12672ce693f31f17457fb3da9a317abde3e359a2092ff661"
 
 
 def test_criterion_10_cli_determinism(tmp_path):

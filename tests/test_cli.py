@@ -629,11 +629,11 @@ def _base2_lattice(*segments, anchor=1.0):
                      for seg in segments]}]}
 
 
-# valid laws near alpha = 2, slowly decaying lattices and finite ends whose
-# mass leaves double range, with the exit code of each command below: the
-# segment rules decide validity exactly, so the checks give their verdicts,
-# and a walk that passes the enumeration cap, radius e^700 or double range
-# exits 4
+# valid laws near alpha = 2, slowly decaying lattices, finite ends whose
+# mass leaves double range and far radii, with the exit code of each command
+# below: the segment rules decide validity exactly, so the checks give their
+# verdicts, and a walk that passes the enumeration cap, radius e^700 or
+# double range exits 4
 NEAR_QUARTER = 0.25 * (1.0 + 1e-11)   # r b^2 = 1 + 4e-11
 VALIDITY_TABLE = {
     "semistable-1.95": ({"schema": 1, "levy": [
@@ -660,6 +660,10 @@ VALIDITY_TABLE = {
     "mass-overflow-weight": (
         _base2_lattice({"w": 1e300, "r": 0.5, "kmin": -100, "kmax": 5}),
         (2,) * 7),
+    # radii up to 2^1005, where |x|^2 overflows: no warning, and an exact map
+    "far-top-k1005": (
+        _base2_lattice({"w": 1.0, "r": 0.5, "kmin": 0, "kmax": 1005}),
+        (1, 1, 1, 0, 0, 0, 0)),
 }
 VALIDITY_COMMANDS = {
     "check": ["check"], "level": ["check", "--level", "2"],

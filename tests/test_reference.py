@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from semiself import cli
+from semiself import mapping as mp
 from semiself import measures as ms
 from semiself import ou
+from semiself import suites
 from semiself import triplets as tp
 
 
@@ -67,7 +69,6 @@ def test_forward_series_at_huge_phases(kmax, p, m):
     # lattice phases up to 2 * 2^1009 ~ 1e304: the sum by phase index and
     # the exact reduction keep the map within its bound of the exact sum
     mpmath = pytest.importorskip("mpmath")
-    from semiself import mapping as mp
     lat = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=1.0, r=1.0, kmin=1,
                                                   kmax=kmax, power=p),))
     rho = tp.LevyTriplet(np.zeros((1, 1)), ms.LevyMeasure((lat,)),
@@ -249,3 +250,60 @@ def test_inverse_map_bound_holds_on_a_heavy_top_lattice(tmp_path):
             ref = complex(c_mu(z) - c_mu(z / b))
             got = complex(float(row["re"]), float(row["im"]))
             assert abs(got - ref) <= float(row["err_bound"]), row["z0"]
+
+
+def _forward_drift_reference(mpmath, mu, b):
+    """mpmath value of the mapped law's drift from its series definition,
+    ``gamma / (1 - 1/b) + sum_k m(k) sum_{j>=1} s_j x_k (1/(1 + s_j^2 |x_k|^2)
+    - 1/(1 + |x_k|^2))`` with ``s_j = b^-j``, on the float inputs of one
+    lattice whose masses fall geometrically from ``kmin``.
+
+    Per unit mass a point's j sum is below ``2.5 / (1 - 1/b)``: the terms
+    are at most ``min(t_j, 1/t_j) + t_j / (1 + |x|^2)`` with ``t_j = s_j |x|``.
+    The points with ``m(k) < 2^-80`` are left out, which drops below 1e-22
+    on these lattices, and each j sum stops at ``t_j < 2^-100``, whose rest
+    is below ``t_j / (1 - 1/b)``."""
+    (lat,) = mu.levy.components
+    (seg,) = lat.segments
+    with mpmath.workdps(40):
+        bb = mpmath.mpf(b)
+        base, anchor = mpmath.mpf(lat.base), mpmath.mpf(lat.anchor)
+        direction = [mpmath.mpf(float(x)) for x in lat.direction]
+        total = [mpmath.mpf(float(g)) / (1 - 1 / bb) for g in mu.drift]
+        k = int(seg.kmin)
+        while k <= seg.kmax:
+            mass = mpmath.mpf(seg.w) * mpmath.mpf(seg.r) ** k
+            if mass < mpmath.mpf(2) ** -80:
+                break
+            radius = anchor * base ** k
+            n2 = radius * radius * mpmath.fsum(x * x for x in direction)
+            acc, s = mpmath.mpf(0), 1 / bb
+            while s * mpmath.sqrt(n2) >= mpmath.mpf(2) ** -100:
+                acc += s * (1 / (1 + s * s * n2) - 1 / (1 + n2))
+                s /= bb
+            total = [t + mass * acc * radius * x
+                     for t, x in zip(total, direction)]
+            k += 1
+        return np.array([float(t) for t in total])
+
+
+@pytest.mark.parametrize("case", ["far-top-k1005", "corpus-2d-b1.1"])
+def test_forward_drift_matches_its_series(case):
+    # the exact map's drift against the per-point series it replaces; the
+    # far lattice has radii up to 2^1005, where |x|^2 overflows
+    mpmath = pytest.importorskip("mpmath")
+    tol = 1e-10
+    if case == "far-top-k1005":
+        b = 2.0
+        lat = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=1.0, r=0.5, kmin=0,
+                                                      kmax=1005),))
+        mu = tp.LevyTriplet(np.zeros((1, 1)), ms.LevyMeasure((lat,)),
+                            np.zeros(1))
+    else:
+        b = 1.1
+        mu = suites.corpus(2, b)[2]
+    got = mp.forward_triplet(mu, b, tol=tol).drift
+    ref = _forward_drift_reference(mpmath, mu, b)
+    # the window tails are within tol; the float radii and masses of the
+    # inputs move each of the few hundred terms by a few ulps
+    assert float(np.max(np.abs(got - ref))) <= tol + 1e-13
