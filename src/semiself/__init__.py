@@ -20,7 +20,7 @@ from .specio import SpecError, load_triplet, spec_hash, triplet_from_dict, \
 from .suites import run_suite
 from .triplets import (CumulantGrid, LevyTriplet, compound_poisson, cumulant,
                        cumulant_at, gaussian, poisson_unit, require_valid,
-                       scale, validate)
+                       validate)
 
 __all__ = [
     "Atoms", "CumulantGrid", "DomainError", "EmpiricalCF",
@@ -34,7 +34,7 @@ __all__ = [
     "forward_triplet", "gaussian", "inverse_factor", "is_nested_member",
     "is_semi_selfdecomposable", "is_semi_stable", "iterated_forward_triplet",
     "limit_cumulant", "load_triplet", "log_moment", "poisson_unit",
-    "require_valid", "run_suite", "sample", "sample_limit_law", "scale",
+    "require_valid", "run_suite", "sample", "sample_limit_law",
     "semi_stable_triplet", "solve_path", "spec_hash", "transition_cumulant",
     "triplet_from_dict", "triplet_to_dict", "validate", "validate_limit",
     "verify_langevin",

@@ -42,16 +42,6 @@ def default_grid(dim: int, zmax: float = 5.0, n: int = 101) -> np.ndarray:
     return np.concatenate(lines, axis=0)
 
 
-def _binom_weight_iter(m: int):
-    """Yields C(j+m, m) for j = 0, 1, ... by multiplicative recurrence."""
-    w = 1.0
-    j = 0
-    while True:
-        yield w
-        j += 1
-        w *= (j + m) / j
-
-
 def _series_envelope(b, m, arg_scale, zmax) -> ms.Envelope:
     """Bound on the series term sum: at radius ``R``, a constant times
     ``C(n, m+1) <= (n0 + log_b R)^(m+1) / (m+1)!``, a polynomial in ``log R``."""
@@ -70,8 +60,8 @@ def _series_weights(b, m, arg_scale, zmax, xmax, tol) -> list:
     """Weights ``C(j+m, m)`` of the terms ``j < J`` that the series sums for
     points of 1-norm at most ``xmax``: it stops once the geometric bound on
     the terms left falls below ``tol / 4``."""
-    weights = []
-    for j, wj in enumerate(_binom_weight_iter(m)):
+    weights, wj = [], 1.0
+    for j in range(MAX_SERIES_TERMS + 1):
         weights.append(wj)
         u_next = arg_scale * b ** (-(j + 1)) * zmax * xmax
         rho1 = (j + 2 + m) / ((j + 2) * b)
@@ -82,8 +72,8 @@ def _series_weights(b, m, arg_scale, zmax, xmax, tol) -> list:
                              + u_next / (1.0 - rho1))
             if tail < tol / 4.0:
                 return weights
-        if j + 1 > MAX_SERIES_TERMS:
-            raise ToleranceError("forward series term cap exceeded")
+        wj *= (j + 1 + m) / (j + 1)
+    raise ToleranceError("forward series term cap exceeded")
 
 
 def forward_cumulant(rho: tp.LevyTriplet, b: float, z, *, m: int = 0,

@@ -130,10 +130,6 @@ class ScaleLattice:
     def radius(self, k) -> np.ndarray:
         return self.anchor * np.exp(np.asarray(k, dtype=float) * math.log(self.base))
 
-    def mass(self, k) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        return sum((seg.mass(k) for seg in self.segments), np.zeros_like(k))
-
 
 @dataclass(frozen=True)
 class LevyMeasure:
@@ -242,13 +238,15 @@ def _lower_end(lat: ScaleLattice, seg: Segment, small_c, small_p, budget):
     return K + 1, math.exp(min(bound_log(K), 300.0))
 
 
-def _out_of_range(seg: Segment, ends):
-    """The first finite index of ``ends`` where ``Segment.mass`` forms no
-    finite double, or None: ``r^k`` or ``w r^k`` passes the largest double,
-    ``k log r + log max(|w|, 1) > log DBL_MAX`` (the power only divides)."""
-    log_w = math.log(max(abs(seg.w), 1.0))
+def _out_of_range(ratio: float, scale: float, ends):
+    """The first finite index of ``ends`` where ``ratio^k`` or ``scale
+    ratio^k`` passes the largest double, or None: ``k log ratio + log
+    max(|scale|, 1) > log DBL_MAX``.  That is where ``Segment.mass`` (ratio
+    ``r``, scale ``w``; the power only divides) or ``ScaleLattice.radius``
+    (``base``, ``anchor``) forms no finite double."""
+    log_s = math.log(max(abs(scale), 1.0))
     return next((int(k) for k in ends if abs(k) != POS_INF
-                 and k * math.log(seg.r) + log_w > _LOG_MAX), None)
+                 and k * math.log(ratio) + log_s > _LOG_MAX), None)
 
 
 def radius_edge(lat: ScaleLattice) -> int:
@@ -263,7 +261,7 @@ def require_walk(seg: Segment, klo, khi) -> None:
     between the ends stay in range with them."""
     if khi - klo + 1 > _ENUM_CAP:
         raise ToleranceError("lattice enumeration cap exceeded")
-    k = _out_of_range(seg, (klo, khi) if klo <= khi else ())
+    k = _out_of_range(seg.r, seg.w, (klo, khi) if klo <= khi else ())
     if k is not None:
         raise ToleranceError(f"lattice mass at index {k} leaves double range")
 
@@ -342,8 +340,9 @@ def component_violations(comp) -> list:
     """Why a component is not part of a valid Levy measure, decided exactly
     from its data: ``integral (|x|^2 ^ 1) nu(dx)`` is finite iff each
     segment reaching index -inf has ``r b^2 > 1`` and each reaching +inf
-    has ``r < 1`` (or ``r == 1`` and ``power > 1``); a finite end whose mass
-    leaves double range is refused too.  Empty when valid."""
+    has ``r < 1`` (or ``r == 1`` and ``power > 1``).  Non-finite data, and
+    a finite end whose mass or radius leaves double range, are refused too.
+    Empty when valid."""
     out = []
     if isinstance(comp, Atoms):
         with np.errstate(over="ignore"):
@@ -359,6 +358,9 @@ def component_violations(comp) -> list:
             out.append("non-finite atom data")
         elif not np.all(np.isfinite(n2)):
             out.append("atom too far out: |x|^2 overflows")
+    elif not np.all(np.isfinite([comp.base, comp.anchor, *(
+            v for seg in comp.segments for v in (seg.w, seg.r))])):
+        out.append("non-finite lattice data")
     else:
         b = comp.base
         # signed segment pairs are fine as long as the summed law is >= 0
@@ -370,9 +372,12 @@ def component_violations(comp) -> list:
                 out.append("total mass beyond radius 1 diverges")
             if seg.kmin == NEG_INF and seg.r * b * b <= 1.0 + 1e-12:
                 out.append("integral of |x|^2 near 0 diverges")
-            k = _out_of_range(seg, (seg.kmin, seg.kmax))
+            k = _out_of_range(seg.r, seg.w, (seg.kmin, seg.kmax))
             if k is not None:
                 out.append(f"lattice mass at index {k} leaves double range")
+            k = _out_of_range(b, comp.anchor, (seg.kmin, seg.kmax))
+            if k is not None:
+                out.append(f"lattice radius at index {k} leaves double range")
     return out
 
 
@@ -462,7 +467,6 @@ class Family:
     direction ``direction``, radii ``anchor * b**k``."""
 
     direction: np.ndarray
-    base: float
     anchor: float
     segments: list
 
@@ -499,11 +503,11 @@ def canonical_families(levy: LevyMeasure, b: float) -> dict:
         moved = Segment(w=w, r=seg.r, kmin=seg.kmin + shift,
                         kmax=seg.kmax + shift)
         if math.isinf(w) or (seg.w and not w) \
-                or _out_of_range(moved, (moved.kmin, moved.kmax)) is not None:
+                or _out_of_range(seg.r, w, (moved.kmin, moved.kmax)) is not None:
             raise ToleranceError(f"lattice weight {seg.w!r} rebased by "
                                  f"{shift} indices leaves double range")
         key = _family_key(direction, frac)
-        fam = fams.setdefault(key, Family(np.asarray(direction), b, a0, []))
+        fam = fams.setdefault(key, Family(np.asarray(direction), a0, []))
         fam.segments.append(moved)
 
     for comp in levy.components:

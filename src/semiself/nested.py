@@ -103,8 +103,8 @@ class SemiStableSpec:
         mp.check_span(self.b)
         if not 0.0 < self.alpha < 2.0:
             raise ValueError("index alpha must lie strictly in (0, 2)")
-        if self.w <= 0.0 or self.r0 <= 0.0:
-            raise ValueError("w and r0 must be positive")
+        if not (0.0 < self.w < math.inf and 0.0 < self.r0 < math.inf):
+            raise ValueError("w and r0 must be positive and finite")
 
 
 def semi_stable_triplet(spec: SemiStableSpec) -> tp.LevyTriplet:
@@ -128,7 +128,8 @@ def semi_stable_triplet(spec: SemiStableSpec) -> tp.LevyTriplet:
         return driftless
     # the drift h of b X (its centering shift) makes
     # C(bz) - a C(z) = i<z, gamma (b - a) + h> vanish
-    h = tp.scale(driftless, b).drift
+    shift, _ = tp.centering_shift(driftless.levy, b, 1e-12)
+    h = b * driftless.drift + shift
     return tp.LevyTriplet(driftless.gauss, driftless.levy, h / (a - b))
 
 
@@ -171,5 +172,6 @@ def is_semi_stable(mu: tp.LevyTriplet, b: float) -> SemiStableCertificate:
     alpha = -math.log(r) / math.log(b) if fams else 2.0
     a = float(np.power(b, alpha))  # b^2 overflows past b ~ 1e154
     # c = (a - b) gamma - h, with b gamma + h the drift of b X
-    c = a * mu.drift - tp.scale(mu, b).drift
+    shift, _ = tp.centering_shift(mu.levy, b, 1e-12)
+    c = a * mu.drift - (b * mu.drift + shift)
     return SemiStableCertificate(b, True, a, alpha, c.tolist(), None)

@@ -62,8 +62,8 @@ class PathBundle:
     states: np.ndarray       # (kept paths, epochs + 1, d), states[:, 0] = M
     increments: np.ndarray   # (kept paths, epochs, d)
     seed: int
+    peaks: np.ndarray        # (epochs + 1, 3)
     snapshots: dict = field(default_factory=dict)   # epoch -> (n_paths, d)
-    peaks: np.ndarray | None = None                 # (epochs + 1, 3)
 
     @property
     def n_paths(self) -> int:
@@ -84,9 +84,8 @@ class PathBundle:
         """The bundle over its first ``epochs`` epochs."""
         return PathBundle(
             self.config, self.states[:, :epochs + 1],
-            self.increments[:, :epochs], self.seed,
-            {k: v for k, v in self.snapshots.items() if k <= epochs},
-            None if self.peaks is None else self.peaks[:epochs + 1])
+            self.increments[:, :epochs], self.seed, self.peaks[:epochs + 1],
+            {k: v for k, v in self.snapshots.items() if k <= epochs})
 
     def at_epoch(self, k: int) -> np.ndarray:
         """Every path's state at epoch ``k``."""
@@ -193,7 +192,7 @@ def solve_path(noise: tp.LevyTriplet, cfg: OUConfig, init, epochs: int,
         if k in wanted:
             snaps[k] = Z
     return PathBundle(config=cfg, states=states, increments=increments,
-                      seed=int(seed), snapshots=snaps, peaks=balance.peaks())
+                      seed=int(seed), peaks=balance.peaks(), snapshots=snaps)
 
 
 def closed_form_states(bundle: PathBundle) -> np.ndarray:
@@ -212,15 +211,8 @@ def closed_form_states(bundle: PathBundle) -> np.ndarray:
 
 def verify_langevin(bundle: PathBundle) -> float:
     """Max relative residual of the balance identity (``_Balance``) over
-    every path and epoch: the peaks summed during the run, or, for a bundle
-    built without them, summed now one epoch at a time."""
-    peaks = bundle.peaks
-    if peaks is None:
-        balance = _Balance(bundle.config.b, bundle.states[:, 0, :])
-        for k in range(bundle.epochs):
-            balance.add(bundle.increments[:, k, :], bundle.states[:, k + 1, :])
-        peaks = balance.peaks()
-    z_peak, dx_peak, res_peak = peaks[-1]
+    every path and epoch, read from the peaks ``solve_path`` recorded."""
+    z_peak, dx_peak, res_peak = bundle.peaks[-1]
     return float(res_peak) / max(float(z_peak), float(dx_peak), 1.0)
 
 

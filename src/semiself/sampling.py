@@ -186,7 +186,7 @@ class Sampler:
     Gaussian compensation of the small jumps and the centring shift are built
     on the first draw with ``t > 0``; the Gaussian factor is cached per ``t``.
     Preparation consumes no randomness, so ``draw`` returns exactly what a
-    fresh ``sample`` call with the same arguments returns.
+    fresh sampler's first draw with the same arguments returns.
     """
 
     def __init__(self, triplet: tp.LevyTriplet):
@@ -242,9 +242,9 @@ class Sampler:
         return SampleBatch(values, t=float(t), seed=int(seed), metadata=meta)
 
 
-def sample(triplet: tp.LevyTriplet, n: int, seed: int, t: float = 1.0) -> SampleBatch:
-    """Draw ``n`` iid samples from the law of ``X_t``."""
-    return Sampler(triplet).draw(n, seed, t)
+def sample(triplet: tp.LevyTriplet, n: int, seed: int) -> SampleBatch:
+    """Draw ``n`` iid samples from the law of ``X_1``."""
+    return Sampler(triplet).draw(n, seed)
 
 
 def conf_radius(n: int) -> float:

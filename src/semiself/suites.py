@@ -80,7 +80,7 @@ def suite_core(seed: int = 42) -> dict:
     grid = np.linspace(-3.0, 3.0, 13)
     worst = 0.0
     for trip in corpus(1)[:2]:
-        batch = sp.sample(trip, MC_N, seed, t=1.0)
+        batch = sp.sample(trip, MC_N, seed)
         e = sp.ecf(batch.values, grid)
         target = np.exp(tp.cumulant(trip, grid).values)
         worst = max(worst, float(np.max(np.abs(e.values - target))))

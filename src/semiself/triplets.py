@@ -66,10 +66,10 @@ def compound_poisson(points, weights, drift=None) -> LevyTriplet:
                        np.zeros(d) if drift is None else drift)
 
 
-def poisson_unit(rate=1.0) -> LevyTriplet:
+def poisson_unit() -> LevyTriplet:
     """Compound Poisson at the single jump 1 in d=1 with cumulant
-    ``rate * (e^{iz} - 1)`` (drift chosen to cancel the centering term)."""
-    return compound_poisson([[1.0]], [rate], drift=[rate * 0.5])
+    ``e^{iz} - 1`` (drift chosen to cancel the centering term)."""
+    return compound_poisson([[1.0]], [1.0], drift=[0.5])
 
 
 def validate(triplet: LevyTriplet) -> tuple:
@@ -323,32 +323,14 @@ def cumulant_at(triplet: LevyTriplet, z) -> complex:
 # triplet arithmetic
 
 
-def scale(triplet: LevyTriplet, s: float) -> LevyTriplet:
-    """Triplet of ``s X`` for ``s > 0``: Gaussian scales by ``s^2``, the
-    measure is pushed to ``s x`` and the drift picks up the centering shift."""
-    if s <= 0.0:
-        raise ValueError("scale factor must be positive")
-    comps = []
-    for c in triplet.levy.components:
-        if isinstance(c, ms.Atoms):
-            comps.append(ms.Atoms(s * c.points, c.weights))
-        else:
-            comps.append(ms.ScaleLattice(c.direction, c.base, c.segments,
-                                         s * c.anchor))
-
-    shift, _ = centering_shift(triplet.levy, s, 1e-12)
-    return LevyTriplet(s * s * triplet.gauss, ms.LevyMeasure(tuple(comps)),
-                       s * triplet.drift + shift)
-
-
 def centering_shift(levy: ms.LevyMeasure, s: float, tol: float):
     """The drift that pushing ``levy`` forward by ``x -> s x`` adds, with
     the window tails that bound its error:
 
         integral s x (1/(1 + s^2 |x|^2) - 1/(1 + |x|^2)) nu(dx)
 
-    ``scale`` adds it to ``s gamma``; the span-b maps read it at ``s = 1/b``
-    (``0.0`` for a measure without components)."""
+    The drift of ``s X`` is ``s gamma`` plus it; the span-b maps read it at
+    ``s = 1/b`` (``0.0`` for a measure without components)."""
 
     def shift_integrand(points):
         # past |x| ~ 1.3e154, |x|^2 overflows to inf and the factor reads

@@ -749,6 +749,36 @@ REFUSED = {
     # valid, but the sampler's small-jump variance squares the anchor
     "variance-overflow": _base2_lattice({"w": 0.7, "r": 0.5, "kmax": 5},
                                         anchor=1e300)}
+NAN, INF = float("nan"), float("inf")
+
+
+def _rebased(spec, base):
+    spec["levy"][0]["base"] = base
+    return spec
+
+
+# non-finite lattice numbers and finite ends at radii past double range,
+# refused on every command, semi-stability included
+REFUSED_EVERYWHERE = {
+    "anchor-inf": _base2_lattice({"w": 0.7, "r": 0.5}, anchor=INF),
+    "anchor-nan": _base2_lattice({"w": 0.7, "r": 0.5}, anchor=NAN),
+    "base-inf": _rebased(_base2_lattice({"w": 0.7, "r": 0.5, "kmin": 0}),
+                         INF),
+    "base-nan": _rebased(_base2_lattice({"w": 0.7, "r": 0.5}), NAN),
+    "w-nan": _base2_lattice({"w": NAN, "r": 0.5}),
+    "w-nan-finite": _base2_lattice({"w": NAN, "r": 0.5, "kmin": 0, "kmax": 5}),
+    "r-nan": _base2_lattice({"w": 0.7, "r": NAN, "kmin": 0, "kmax": 5}),
+    "semistable-w-inf": {"schema": 1, "levy": [
+        {"kind": "semistable", "b": 2.0, "alpha": 1.5, "w": INF}]},
+    "semistable-r0-inf": {"schema": 1, "levy": [
+        {"kind": "semistable", "b": 2.0, "alpha": 1.5, "r0": INF}]},
+    "semistable-w-nan": {"schema": 1, "levy": [
+        {"kind": "semistable", "b": 2.0, "alpha": 1.5, "w": NAN}]},
+    "radius-k2000": _base2_lattice({"w": 1.0, "r": 0.5, "kmin": 0,
+                                    "kmax": 2000}),
+    "radius-anchor": _base2_lattice({"w": 1.0, "r": 0.1, "kmin": 0,
+                                     "kmax": 1005}, anchor=1e300)}
+REFUSED.update(REFUSED_EVERYWHERE)
 REFUSED_COMMANDS = {"map": ["map", "--grid", "2:3"], "check": ["check"],
                     "simulate": ["simulate", "--paths", "20", "--steps", "3"],
                     "semistable": ["check", "--semistable"]}
@@ -759,7 +789,8 @@ LATE_REFUSALS = [("atom-weight", "simulate", 4), ("anchor-rebase", "map", 4),
                  ("variance-overflow", "simulate", 4)]
 REFUSED_CASES = [(s, c, 2) for s in REFUSED
                  if s not in {late for late, _, _ in LATE_REFUSALS}
-                 for c in ("map", "check", "simulate")] + LATE_REFUSALS
+                 for c in ("map", "check", "simulate")] + LATE_REFUSALS + [
+    (s, "semistable", 2) for s in REFUSED_EVERYWHERE]
 
 
 @pytest.mark.filterwarnings("error")

@@ -337,9 +337,7 @@ def test_unset_options_are_detected():
 # optional parameters set from outside any call the check can read
 SET_ELSEWHERE = (
     "suites.suite_*(seed)",          # called as SUITES[name](seed)
-    "triplets.poisson_unit(rate)",   # public API that tests use
-    # public API whose tests vary them; the package passes the default
-    "sampling.sample(t)",
+    # public API whose tests vary it; the package passes the default
     "measures.log_moment(p)",
 )
 
@@ -466,11 +464,6 @@ def layers_assignment(name: str) -> ast.expr:
     raise AssertionError(f"perfbench/layers.py defines no {name}")
 
 
-def traced_layers() -> tuple:
-    """The ``TRACED`` tuple of the benchmark's layer tracer."""
-    return ast.literal_eval(layers_assignment("TRACED"))
-
-
 def work_arguments() -> dict:
     """Layer -> the argument names its ``WORK`` counter reads as
     ``args["..."]``."""
@@ -482,17 +475,6 @@ def work_arguments() -> dict:
         if isinstance(sub, ast.Subscript)
         and getattr(sub.value, "id", None) == "args")
         for key, counter in zip(work.keys, work.values)}
-
-
-def test_traced_layers_resolve():
-    missing = []
-    for module, attr in traced_layers():
-        obj = importlib.import_module(f"semiself.{module}")
-        for part in attr.split("."):
-            obj = getattr(obj, part, None)
-        if obj is None:
-            missing.append(f"{module}.{attr}")
-    assert missing == []
 
 
 def test_traced_work_arguments_exist():

@@ -28,7 +28,8 @@ def test_lattice_radius_and_mass():
     lat = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=1.0, r=0.5, kmin=0),),
                           anchor=3.0)
     assert lat.radius(2) == pytest.approx(12.0)
-    assert lat.mass(np.array([1]))[0] == pytest.approx(0.5)
+    assert sum(s.mass(np.array([1])) for s in lat.segments)[0] == \
+        pytest.approx(0.5)
 
 
 def test_lattice_rejects_bad_base():

@@ -37,14 +37,23 @@ def _whole_array_residual(bundle):
     return float(np.max(np.abs(res), initial=0.0)) / scale
 
 
+def _balanced_bundle(cfg, states, increments):
+    """A bundle whose peaks ``ou._Balance`` sums one epoch at a time, as
+    ``solve_path`` does."""
+    balance = ou._Balance(cfg.b, states[:, 0, :])
+    for k in range(increments.shape[1]):
+        balance.add(increments[:, k, :], states[:, k + 1, :])
+    return ou.PathBundle(cfg, states, increments, 0, balance.peaks())
+
+
 @pytest.mark.parametrize("n,K,d", [(1, 0, 1), (1, 5, 2), (2500, 37, 2),
                                    (3000, 200, 1), (5, 1, 3)])
 def test_blockwise_residual_is_bit_equal(n, K, d):
     # states off the recursion, so the residual is far from rounding level
     rng = np.random.default_rng(n + K + d)
-    bundle = ou.PathBundle(ou.OUConfig(b=1.7, c=1.0),
-                           10.0 * rng.standard_normal((n, K + 1, d)),
-                           rng.standard_normal((n, K, d)), seed=0)
+    bundle = _balanced_bundle(ou.OUConfig(b=1.7, c=1.0),
+                              10.0 * rng.standard_normal((n, K + 1, d)),
+                              rng.standard_normal((n, K, d)))
     assert ou.verify_langevin(bundle) == _whole_array_residual(bundle)
 
 
@@ -86,10 +95,10 @@ def test_head_is_the_shorter_run(cp1):
 
 def test_langevin_residual_allocates_one_block():
     n, K = 20_000, 200
-    bundle = ou.PathBundle(CFG, np.ones((n, K + 1, 1)), np.ones((n, K, 1)), 0)
+    states, increments = np.ones((n, K + 1, 1)), np.ones((n, K, 1))
     tracemalloc.start()
     try:
-        ou.verify_langevin(bundle)
+        ou.verify_langevin(_balanced_bundle(CFG, states, increments))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -24,7 +24,7 @@ def test_seed_determinism(cp1):
 
 
 def test_time_zero_degenerate(cp1):
-    batch = sp.sample(cp1, 10, seed=0, t=0.0)
+    batch = sp.Sampler(cp1).draw(10, 0, 0.0)
     np.testing.assert_array_equal(batch.values, 0.0)
 
 
@@ -40,7 +40,7 @@ def test_compound_poisson_ecf_matches_cf(cp1):
 def test_convolution_time_scaling(cp1):
     # X_2 has cumulant 2 C; check via ECF
     n = 40_000
-    batch = sp.sample(cp1, n, seed=3, t=2.0)
+    batch = sp.Sampler(cp1).draw(n, 3, 2.0)
     grid = np.linspace(-2.0, 2.0, 9)
     emp = sp.ecf(batch.values, grid)
     want = np.exp(2.0 * tp.cumulant(cp1, grid).values)
@@ -83,9 +83,12 @@ def test_sampler_draw_matches_sample(cp1):
         sampler = sp.Sampler(law)
         for t in (1.0, 0.5, 2.0, 0.5, 0.0):
             a = sampler.draw(500, 9, t)
-            b = sp.sample(law, 500, 9, t)
+            b = sp.Sampler(law).draw(500, 9, t)
             np.testing.assert_array_equal(a.values, b.values)
             assert a.metadata == b.metadata
+        a, b = sampler.draw(500, 9), sp.sample(law, 500, 9)
+        np.testing.assert_array_equal(a.values, b.values)
+        assert a.metadata == b.metadata
 
 
 def test_solve_path_builds_jump_pools_once(monkeypatch):

@@ -18,7 +18,7 @@ def test_gaussian_cumulant_oracle():
 
 
 def test_poisson_cumulant_oracle():
-    pu = tp.poisson_unit(rate=3.0)
+    pu = tp.compound_poisson([[1.0]], [3.0], drift=[1.5])
     z = 0.7
     want = 3.0 * (np.exp(1j * z) - 1.0)
     assert tp.cumulant_at(pu, z) == pytest.approx(want, abs=1e-12)
@@ -56,7 +56,7 @@ def test_lattice_cumulant_matches_brute_force(lat1):
             "6.28318530717958647692528676655900576839433879875021164194988918461563281257")
         total = complex(-0.5 * 0.5 * z * z, 0.3 * z)
         for k in range(-30, 80):
-            m = float(comp.mass(np.array([k]))[0])
+            m = float(sum(s.mass(np.array([k])) for s in comp.segments)[0])
             if m == 0.0:
                 continue
             x = float(comp.radius(k))
@@ -73,11 +73,21 @@ def test_cumulant_arg_pow_matches_plain_scaling():
     assert scaled == pytest.approx(direct, abs=1e-14)
 
 
-def test_scale_pushes_argument(cp1):
-    z, s = 1.1, 3.0
-    sx = tp.scale(cp1, s)
+@pytest.mark.parametrize("law", ["cp1", "lat1"])
+def test_centering_shift_pushes_argument(request, law):
+    # s X has the measure pushed to s x and the drift s gamma plus the
+    # centering shift, so C_{sX}(z) = C_X(s z)
+    mu, z, s = request.getfixturevalue(law), 1.1, 3.0
+    comps = tuple(ms.Atoms(s * c.points, c.weights)
+                  if isinstance(c, ms.Atoms) else
+                  ms.ScaleLattice(c.direction, c.base, c.segments, s * c.anchor)
+                  for c in mu.levy.components)
+    shift, err = tp.centering_shift(mu.levy, s, 1e-12)
+    sx = tp.LevyTriplet(s * s * mu.gauss, ms.LevyMeasure(comps),
+                        s * mu.drift + shift)
+    assert err <= 1e-12
     assert tp.cumulant_at(sx, z) == pytest.approx(
-        tp.cumulant_at(cp1, s * z), abs=1e-10)
+        tp.cumulant_at(mu, s * z), abs=1e-10)
 
 
 def test_validate_rejects_asymmetric_gauss():
