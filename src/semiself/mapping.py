@@ -27,8 +27,8 @@ MAX_SERIES_TERMS = 100_000
 
 def check_span(b: float) -> float:
     b = float(b)
-    if not (b > 1.0 + MIN_SPAN_MARGIN):
-        raise ValueError(f"span must exceed 1 (got {b})")
+    if not 1.0 + MIN_SPAN_MARGIN < b < math.inf:
+        raise ValueError(f"span must be finite and above 1 (got {b})")
     return b
 
 

@@ -31,7 +31,7 @@ _ENUM_CAP = 200_000
 _LOG_HEAD = 1 << 14  # log-moment head of a power tail, and its block size
 _LOG_CAP = 1 << 23   # longest log-moment head
 _DIR_DECIMALS = 9
-DROP_TOL = 1e-12     # relative size below which a merged segment is dropped
+DROP_TOL = 1e-12     # share of its summands' moduli at which a merged weight is 0
 FAMILY_TOL = 1e-9    # relative slack of skeleton offsets and lattice bases
 _ROUNDING = 1.0 + 2.0 ** -32  # relative rounding of a closed-form tail
 _LOG_MAX = math.log(np.finfo(float).max)  # log of the largest double
@@ -542,21 +542,12 @@ def canonical_families(levy: LevyMeasure, b: float) -> dict:
     return fams
 
 
-def _log_scale(seg: Segment) -> float:
-    """``log |m(k)|`` at the larger of a segment's finite ends, or ``log |w|``
-    when its lower end is infinite, formed without ``r^k``."""
-    ends = [0] if seg.kmin == NEG_INF else [k for k in (seg.kmin, seg.kmax)
-                                            if k != POS_INF]
-    lw = math.log(abs(seg.w)) if seg.w else NEG_INF
-    return lw + max(k * math.log(seg.r) for k in ends)
-
-
 def simplify_segments(segments: Sequence[Segment]) -> list:
     """Merge same-ratio segments over the common refinement of their ranges,
-    dropping a piece whose scale (``_log_scale``) is below ``DROP_TOL`` of
-    the largest input's, so that the result does not depend on the anchor."""
-    if not segments:
-        return []
+    dropping a merged piece only when its summands cancel: ``|sum w| <=
+    DROP_TOL sum |w|``.  Pieces on other indices or ratios never cancel it,
+    and rebasing scales the summands of one ratio alike, so the result does
+    not depend on the anchor."""
     bounds = set()
     for s in segments:
         if s.kmin != NEG_INF:
@@ -564,7 +555,6 @@ def simplify_segments(segments: Sequence[Segment]) -> list:
         if s.kmax != POS_INF:
             bounds.add(s.kmax + 1)
     cuts = [NEG_INF] + sorted(bounds) + [POS_INF]
-    floor = math.log(DROP_TOL) + max(_log_scale(s) for s in segments)
     out = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         kmax = hi - 1 if hi != POS_INF else POS_INF
@@ -573,11 +563,11 @@ def simplify_segments(segments: Sequence[Segment]) -> list:
         by_r: dict = {}
         for s in segments:
             if s.kmin <= lo and s.kmax >= kmax:
-                by_r[s.r] = by_r.get(s.r, 0.0) + s.w
-        for r, w in sorted(by_r.items()):
-            piece = Segment(w=w, r=r, kmin=lo, kmax=kmax)
-            if _log_scale(piece) > floor:
-                out.append(piece)
+                w, size = by_r.get(s.r, (0.0, 0.0))
+                by_r[s.r] = (w + s.w, size + abs(s.w))
+        for r, (w, size) in sorted(by_r.items()):
+            if abs(w) > DROP_TOL * size:
+                out.append(Segment(w=w, r=r, kmin=lo, kmax=kmax))
     return out
 
 
@@ -598,20 +588,20 @@ def _dominance(terms):
     past which it outweighs the other terms together (see README)."""
     groups: dict = {}
     for w, lr, p in terms:
-        groups[lr, p] = groups.get((lr, p), 0.0) + w
-    wmax = max(abs(w) for w, _, _ in terms)
-    live = [g for g in groups if abs(groups[g]) > DROP_TOL * wmax]
-    if not live:
+        total, size = groups.get((lr, p), (0.0, 0.0))
+        groups[lr, p] = (total + w, size + abs(w))
+    groups = {g: w for g, (w, size) in groups.items()
+              if abs(w) > DROP_TOL * size}
+    if not groups:
         return 0.0, NEG_INF
-    lr_d, p_d = max(live, key=lambda g: (g[0], -g[1]))
+    lr_d, p_d = max(groups, key=lambda g: (g[0], -g[1]))
     n, W, K = len(groups), groups.pop((lr_d, p_d)), NEG_INF
     for (lr, p), w in groups.items():
-        if w != 0.0:
-            c, lam, delta = math.log(n * abs(w) / abs(W)), lr_d - lr, p_d - p
-            k = _first_within(lambda k: c + delta * math.log(k) - lam * k,
-                              max(math.ceil(delta / lam), 1) if lam else 1,
-                              1 << 62, 0.0)
-            K = max(K, math.inf if k is None else k)
+        c, lam, delta = math.log(n * abs(w) / abs(W)), lr_d - lr, p_d - p
+        k = _first_within(lambda k: c + delta * math.log(k) - lam * k,
+                          max(math.ceil(delta / lam), 1) if lam else 1,
+                          1 << 62, 0.0)
+        K = max(K, math.inf if k is None else k)
     return W, K
 
 

@@ -215,42 +215,59 @@ def centered_exp_integrand(zgrid: np.ndarray, points: np.ndarray,
                            lattice=None, arg_pow=(1.0, 0)) -> np.ndarray:
     """``g(z, x) = e^{i<z,x>} - 1 - i<z,x>/(1+|x|^2)`` as an (n_points, n_z)
     array at the scaled grid ``pbase**power * zgrid``, ``arg_pow = (pbase,
-    power)``; huge phases of the points ``lattice = (comp, ks)`` are reduced
-    exactly, scale included."""
+    power)``, as ``-2 sin^2(u/2) + i (sin u - u/(1+|x|^2))``; huge phases of
+    the points ``lattice = (comp, ks)`` are reduced exactly, scale included."""
     zscaled = arg_pow[0] ** arg_pow[1] * zgrid
     with np.errstate(over="ignore"):
         u = points @ zscaled.T                    # (n, m)
         n2 = np.sum(points * points, axis=1)      # (n,)
         u_osc = u if lattice is None else _reduced_phases(u, zgrid, lattice,
                                                           arg_pow)
-        return np.exp(1j * u_osc) - 1.0 - 1j * u / (1.0 + n2[:, None])
+        return -2.0 * np.sin(0.5 * u_osc) ** 2 \
+            + 1j * (np.sin(u_osc) - u / (1.0 + n2[:, None]))
 
 
 def _regrouped_series(zgrid, comp: ms.ScaleLattice, ks, masses, weights,
                       arg_pow: int) -> np.ndarray:
     """``sum_k m(k) sum_{t<J} w_t g(b^(arg_pow - t) z, x_k)`` over points of
-    a lattice on base ``b``, summed by the phase index ``n = k - t``:
+    a lattice on base ``b``, summed by the phase index ``n = k - t`` in
+    ``K + J`` phases per grid column instead of ``K J`` cells:
 
-        sum_n (e^{i theta_n} - 1) M_n  -  i W sum_k m(k) <z, x_k>/(1 + |x_k|^2)
+        sum_n -2 sin^2(theta_n/2) M_n + i P_n sin theta_n
+              + i Q_n (sin theta_n - theta_n)
+        - i W <z, dir> sum_k m(k) R_k/(1 + R_k^2) (1 if R_k >= 1 else -R_k^2)
 
-    with ``M_n = sum_t w_t m(n + t)``, ``W = sum_t w_t b^(arg_pow - t)`` and
-    ``theta_n = anchor <z, direction> b^(n + arg_pow)``.  That is ``K + J``
-    phases per grid column instead of ``K J`` cells; the huge ones are
-    reduced exactly."""
+    with ``P_n``, ``Q_n`` the sums ``sum_t w_t m(n + t)`` over the points at
+    radius ``R_k >= 1`` and below it, ``M_n = P_n + Q_n``, ``W = sum_t w_t
+    b^(arg_pow - t)`` and ``theta_n = anchor <z, direction> b^(n +
+    arg_pow)``, the huge ones reduced exactly.  Where ``Q_n`` grows as ``n``
+    falls (``r b < 1``), its terms are ``O(theta_n^2 Q_n)``: no half cancels
+    another."""
+    if not len(weights):
+        return np.zeros(zgrid.shape[0], dtype=complex)
     b = comp.base
     k0 = int(ks.min())
-    mk = np.bincount(ks - k0, weights=masses)
-    big_m = np.convolve(mk, np.asarray(weights)[::-1])
-    ns = np.arange(k0 - len(weights) + 1, k0 + mk.size)
-    zdir = zgrid @ comp.direction
     radii = comp.radius(ks)
+    inner = radii < 1.0
+    big_p, big_q = (np.convolve(
+        np.bincount(ks - k0, weights=np.where(part, masses, 0.0)),
+        np.asarray(weights)[::-1]) for part in (~inner, inner))
+    ns = np.arange(big_p.size) + (k0 - len(weights) + 1)
+    zdir = zgrid @ comp.direction
     with np.errstate(over="ignore"):
         theta = (comp.anchor * b ** (ns + arg_pow).astype(float))[:, None] \
             * zdir[None, :]
-        centering = float(np.sum(masses * radii / (1.0 + radii * radii)))
-    theta = _reduced_phases(theta, zgrid, (comp, ns), arg_pow=(b, arg_pow))
+        r2 = radii * radii
+        cent = masses * radii / (1.0 + r2)
+    centering = float(np.sum(cent[~inner]) - np.sum(cent[inner] * r2[inner]))
+    reduced = _reduced_phases(theta, zgrid, (comp, ns), arg_pow=(b, arg_pow))
+    sin = np.sin(reduced)
+    # past the points below radius 1, Q_n is 0 and theta may overflow
+    low = big_q != 0.0
     big_w = sum(wt * b ** (arg_pow - t) for t, wt in enumerate(weights))
-    return big_m @ (np.exp(1j * theta) - 1.0) - 1j * big_w * centering * zdir
+    return -2.0 * ((big_p + big_q) @ np.sin(0.5 * reduced) ** 2) \
+        + 1j * (big_p @ sin + big_q[low] @ (sin[low] - theta[low])
+                - big_w * centering * zdir)
 
 
 def jump_series(levy: ms.LevyMeasure, zgrid: np.ndarray, b: float,
@@ -258,38 +275,28 @@ def jump_series(levy: ms.LevyMeasure, zgrid: np.ndarray, b: float,
     """``sum_t w_t integral g(b^(arg_pow - t) z, x) nu(dx)`` on the unscaled
     grid ``zgrid``, and the sum of the lattice window tails under ``env`` at
     budget ``tol``, enumerating each component once.  ``weights(xmax)`` gives
-    ``w_0 .. w_{J-1}`` for points of 1-norm at most ``xmax``.  For ``J > 1``
-    the points at radius >= 1 of a lattice on base ``b`` are summed by phase
-    index; every other point sums its terms one by one."""
+    ``w_0 .. w_{J-1}`` for points of 1-norm at most ``xmax``.  A lattice on
+    base ``b`` is summed by phase index; atoms and lattices on other bases
+    sum their terms point by point."""
     jump = np.zeros(zgrid.shape[0], dtype=complex)
     err = 0.0
     for comp in levy.components:
         pts, masses, ks, tail = ms._enumerate_component(comp, env, tol)
-        part = np.zeros(zgrid.shape[0], dtype=complex)
-        if masses.size:
-            # the terms of the per-point series, whose length the whole
-            # component sets; the 1-norm bound avoids squaring overflow
-            # at extreme lattice radii
-            w = weights(float(np.max(np.sum(np.abs(pts), axis=1))))
-            # below radius 1 the two halves of the sum by phase index grow
-            # as k falls when r * b < 1 and would cancel, so those points
-            # keep the per-point series
-            regroup = np.zeros(masses.size, dtype=bool) if ks is None \
-                or len(w) < 2 else (comp.radius(ks) >= 1.0) & (comp.base == b)
-            if regroup.any():
-                part = part + _regrouped_series(
-                    zgrid, comp, ks[regroup], masses[regroup], w, arg_pow)
-            if not regroup.all():
-                each = ~regroup
-                lattice = None if ks is None else (comp, ks[each])
-                acc = np.zeros((int(each.sum()), zgrid.shape[0]),
-                               dtype=complex)
-                for t, wt in enumerate(w):
-                    acc += wt * centered_exp_integrand(
-                        zgrid, pts[each], lattice, arg_pow=(b, arg_pow - t))
-                part = part + np.tensordot(masses[each], acc, axes=(0, 0))
-        jump = jump + part
         err += tail
+        if not masses.size:
+            continue
+        # the series length is set by the largest point; the 1-norm bound
+        # avoids squaring overflow at extreme lattice radii
+        w = weights(float(np.max(np.sum(np.abs(pts), axis=1))))
+        if ks is not None and comp.base == b:
+            jump += _regrouped_series(zgrid, comp, ks, masses, w, arg_pow)
+        else:
+            lattice = None if ks is None else (comp, ks)
+            acc = np.zeros((masses.size, zgrid.shape[0]), dtype=complex)
+            for t, wt in enumerate(w):
+                acc += wt * centered_exp_integrand(zgrid, pts, lattice,
+                                                   arg_pow=(b, arg_pow - t))
+            jump += np.tensordot(masses, acc, axes=(0, 0))
     return jump, err
 
 

@@ -165,7 +165,7 @@ def test_criterion_09_domain_boundaries(tmp_path):
 # sha256 of the seed-42 verify summary without its manifest: it pins every
 # ECF gap and confidence radius the suites report
 VERIFY_ALL_42_SHA = \
-    "57c3af38d87c48fe12672ce693f31f17457fb3da9a317abde3e359a2092ff661"
+    "fd39063577e4958f2317d82e01d642a45a423a9edbf47a708ac23d64cec81b86"
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import tracemalloc
@@ -404,18 +406,18 @@ GOLDEN = {
         ATOMS3, ["--b", "2.05", "--c", "2", "--steps", "30", "--paths", "300",
                  "--max-export", "300", "--seed", "11"],
         "4f1e806f104f8d2816e851a29c9d05c2f5ddbbb90582e42527eaafc19f0f8ff5",
-        "e920f4e675ee268b2360547af7482105848f605b14acc47cb7d2ac3c49aa3e22"),
+        "943d4a3e59d44d0f5a197e15e58a5d96ed492a54f2d3dcaec5e38b6e832f008c"),
     "lattice-limit": (
         FULL_LATTICE, ["--b", "1.95", "--steps", "20", "--paths", "200",
                        "--init", "limit", "--max-export", "50", "--seed", "5"],
         "c2205d4a1d71ba6cf00a33501c0b242d76089eac12f5d992e0ad075ba17d073b",
-        "317640ae85ee32ab26631195e232911bd5b8e4c648609b90ef2218ca896a0a18"),
+        "ba275d6fc60a7c1b21e20bd9bcb5ee34a604a4d1c92cbfd370d571e5d0d50f00"),
     # the shift check runs to epoch 2, past the one epoch exported
     "semistationary-steps-1": (
         ATOMS3, ["--b", "2", "--steps", "1", "--paths", "400",
                  "--semistationary", "--max-export", "30", "--seed", "3"],
         "fe1d253d474bc85b079f526de28099c2f6216d2c9d7bae1daa62f5cc4759e26a",
-        "0b7943f4600e9bfffa433a086bff10044e94c6c65d93c69b9d1139ba01ba8658"),
+        "1a5061d56875e8d2e82f76dff99303b767b0bec6a17c55aa7b3aaa157ccae999"),
     "noise-2d": (
         NOISE2D, ["--b", "1.9", "--c", "1.5", "--steps", "12", "--paths", "150",
                   "--init", "0.5,-1", "--max-export", "40", "--seed", "8"],
@@ -426,7 +428,7 @@ GOLDEN = {
         ATOMS3, ["--b", "2.1", "--steps", "40", "--paths", "500",
                  "--max-export", "450", "--seed", "13"],
         "319ae629064ed45e5d1350f836738102ebe537ac6ae2726fcf068add78f6fb4a",
-        "6dbe455e71863d9dc1573b84029a9348fb1ced281502da0e199cf018e45e7b42"),
+        "004fb3393c38369b27c28c90554c396293ceef9ec0b909bbeb24a31dd40f703e"),
     # a large start that the ECF rounding check lets run, byte for byte as
     # it ran before the check
     "init-1e12": (
@@ -455,9 +457,9 @@ def test_simulate_golden_bytes(tmp_path, name):
 # its manifest field, for maps whose lattice phases run through the exact
 # reduction.  The two power-tail windows end at radius e^700 (index 1009),
 # and err_bound holds the closed-form remainder past it.  The geometric
-# lattice on the span has points on both sides of radius 1, so it takes the
-# sum by phase index and the per-point series; the base-3 lattice beside
-# atoms takes the per-point series under off-base argument scales
+# lattice on the span has points on both sides of radius 1, all summed by
+# phase index; the base-3 lattice beside atoms takes the per-point series
+# under off-base argument scales
 BOTH_SIDES = {"schema": 1, "drift": [0.1],
               "levy": [{"kind": "lattice", "direction": [1.0], "base": 2.0,
                         "anchor": 1.3,
@@ -470,19 +472,19 @@ ATOMS_OFF_BASE = {"schema": 1, "levy": [
 MAP_GOLDEN = {
     "both-sides-m1": (
         BOTH_SIDES, ["--m", "1", "--grid", "5:21"],
-        "f9d9d8c88b850eba0544fdf9ec65af9fb1a03025c3b536f7cf9e6278152abb54",
+        "64c1c2e49486c6cfe50108421672f97b5f3138842786972d1946cda0c13e2961",
         "1c47cbf88ec1f1a98cc1ea8a1c0eb1d6646bc8987c6439e23acc7ace92783b19"),
     "atoms-off-base": (
         ATOMS_OFF_BASE, ["--grid", "5:21"],
-        "5f1523819d67ec3f2572700ba67d0ebab266a61afc51a58920964e3921989100",
+        "b8472ffecfbe8a8d34c70dfc8ce720aad0e0cf116fc91be8cb13ad19b8a40c5d",
         "286a44532e1701871201359a9f675f82ce07ecaf1934188d45fda71b8a6df91e"),
     "edge-m0": (
         EDGE, ["--m", "0", "--grid", "2:3", "--tol", "1e-4"],
-        "c79415c35c84be40b0adce99cfa023f1006c892de01cf53e5fa53da4746ccbd5",
+        "6a5817e0e90a4de770436e888c188bce9e0b841020cd96d90373d9169873fcff",
         "2b37b7d27dbe4bab288462f6c57d5c5f530257f2de07c9e04a97fb03a229466a"),
     "edge4-m1": (
         EDGE4, ["--m", "1", "--grid", "2:3", "--tol", "1e-4"],
-        "f5fef5615c2234439f47b76984f10bb3a3c8ac1c3cc355241bb21b88d970c9b4",
+        "df47bdf1f841d81e97e869d7fec7cc25d3e388bc45797dcea1933e22e0fc6c15",
         "3b2783ddfd50529dd2ef58c9be8bd19ecc87d1016c7b3912d42f817be167af28"),
 }
 
@@ -664,6 +666,16 @@ VALIDITY_TABLE = {
     "far-top-k1005": (
         _base2_lattice({"w": 1.0, "r": 0.5, "kmin": 0, "kmax": 1005}),
         (1, 1, 1, 0, 0, 0, 0)),
+    # the factor's mass -0.9^300 at index 299 meets no other mass
+    "isolated-k299": (
+        _base2_lattice({"w": 1.0, "r": 0.9, "kmax": 0},
+                       {"w": 1.0, "r": 0.9, "kmin": 300}),
+        (1, 1, 1, 0, 0, 0, 0)),
+    # -1e-13 0.9^k overtakes 0.5^k at index 51
+    "negative-tail-k51": (
+        _base2_lattice({"w": 1.0, "r": 0.5},
+                       {"w": -1e-13, "r": 0.9, "kmin": 0}),
+        (2,) * 7),
 }
 VALIDITY_COMMANDS = {
     "check": ["check"], "level": ["check", "--level", "2"],
@@ -777,7 +789,9 @@ REFUSED_EVERYWHERE = {
     "radius-k2000": _base2_lattice({"w": 1.0, "r": 0.5, "kmin": 0,
                                     "kmax": 2000}),
     "radius-anchor": _base2_lattice({"w": 1.0, "r": 0.1, "kmin": 0,
-                                     "kmax": 1005}, anchor=1e300)}
+                                     "kmax": 1005}, anchor=1e300),
+    "semistable-span-inf": {"schema": 1, "levy": [
+        {"kind": "semistable", "b": INF, "alpha": 1.5}]}}
 REFUSED.update(REFUSED_EVERYWHERE)
 REFUSED_COMMANDS = {"map": ["map", "--grid", "2:3"], "check": ["check"],
                     "simulate": ["simulate", "--paths", "20", "--steps", "3"],
@@ -805,6 +819,60 @@ def test_refused_spec_exits_with_one_line(tmp_path, capsys, spec_id, command,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+# a piece is dropped only when its own summands cancel, never against a
+# larger mass elsewhere: (spec, span, flags, exit code, what the
+# certificate holds or the one line on stderr)
+ISOLATED = _base2_lattice({"w": 1.0, "r": 0.9, "kmax": 0},
+                          {"w": 1.0, "r": 0.9, "kmin": 300})
+EXACT_VERDICTS = {
+    "isolated-span": (ISOLATED, "2", [], 1,
+                      {"violations": [[[1.0], 299]]}),
+    "isolated-level": (ISOLATED, "2", ["--level", "2"], 1,
+                       {"first_violation": [0, 299],
+                        "verdicts": [False, False, False]}),
+    # every level up to 8 is nonnegative under exact differencing
+    "base100-level6": (
+        _rebased(_base2_lattice({"w": 1.0, "r": 2e-4, "kmax": 0}), 100.0),
+        "100", ["--level", "6"], 0,
+        {"first_violation": None, "verdicts": [True] * 7}),
+    "negative-tail": (
+        _base2_lattice({"w": 1.0, "r": 0.5},
+                       {"w": -1e-13, "r": 0.9, "kmin": 0}), "2", [], 2,
+        "error: negative lattice mass at index 51\n"),
+    "semistable-span-inf": (
+        {"schema": 1, "levy": [{"kind": "semistable", "b": INF,
+                                "alpha": 1.5}]}, "2", [], 2,
+        "error: malformed triplet spec: span must be finite and above "
+        "1 (got inf)\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_VERDICTS))
+def test_exact_verdicts(tmp_path, capsys, case):
+    spec_obj, b, flags, code, want = EXACT_VERDICTS[case]
+    spec = write_spec(tmp_path, "spec.json", spec_obj)
+    out = tmp_path / "cert.json"
+    assert cli.main(["check", spec, "--b", b, *flags,
+                     "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code >= 2:
+        assert err == want and not out.exists()
+        return
+    cert = json.load(open(out))
+    assert err == "" and {k: cert[k] for k in want} == want
+
+
+def test_map_keeps_a_piece_no_other_mass_meets(tmp_path):
+    # the image's plateau 0.9^300 10 on 1..299 sits beside weights near 10
+    spec = write_spec(tmp_path, "spec.json", ISOLATED)
+    out = tmp_path / "map"
+    assert cli.main(["map", spec, "--b", "2", "--grid", "2:3",
+                     "--out", str(out)]) == 0
+    segs = json.load(open(out / "triplet.json"))["levy"][0]["segments"]
+    assert [(s["kmin"], s["kmax"], s["r"]) for s in segs] == [
+        ("-inf", 0, 0.9), ("-inf", 0, 1.0), (1, 299, 1.0), (300, "inf", 0.9)]
 
 
 @pytest.mark.parametrize("x,code,message", [
@@ -1090,3 +1158,65 @@ def test_manifest_records_main_argv(tmp_path):
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["command"] == argv
     assert manifest["tolerances"] == {}     # simulate takes no tolerance
+
+
+@st.composite
+def fuzz_component(draw, b):
+    kind = draw(st.sampled_from(["atoms", "lattice", "lattice",
+                                 "semistable"]))
+    if kind == "atoms":
+        return {"kind": kind, "points": [[draw(st.sampled_from(
+            [1.3, -0.6, 1e-3, 50.0]))]],
+                "weights": [draw(st.sampled_from([0.4, 1.0, -0.5]))]}
+    if kind == "semistable":
+        return {"kind": kind, "b": draw(st.sampled_from([b, 2.0])),
+                "alpha": draw(st.sampled_from([0.5, 1.0, 1.5, 1.9, 1.95,
+                                               1.999]))}
+    # the span's base, a root of it or another base; segments far apart
+    base = draw(st.sampled_from([b, b ** 0.5, b ** (1.0 / 3.0), 1.7]))
+    segments = [{"w": draw(st.sampled_from([1.0, 0.8, 1e-3, -1e-13, -1.0])),
+                 "r": draw(st.sampled_from([2e-4, 0.26, 0.47, 0.5, 0.9,
+                                            0.99, 1.5])),
+                 "kmin": draw(st.sampled_from(["-inf", -20, 0, 300])),
+                 "kmax": draw(st.sampled_from([0, 10, 400, "inf"]))}
+                for _ in range(draw(st.integers(1, 2)))]
+    return {"kind": kind, "direction": [1.0], "base": base,
+            "anchor": draw(st.sampled_from([1.0, 1.3, 0.5])),
+            "segments": segments}
+
+
+@st.composite
+def fuzz_runs(draw):
+    b = draw(st.sampled_from([1.5, 2.0, 3.0, 10.0, 100.0]))
+    spec = {"schema": 1, "drift": [draw(st.sampled_from([0.0, 0.1]))],
+            "levy": [draw(fuzz_component(b))
+                     for _ in range(draw(st.integers(0, 2)))]}
+    if draw(st.booleans()):
+        spec["gauss"] = [[draw(st.sampled_from([1.0, 0.0, -1.0]))]]
+    flags = draw(st.sampled_from([
+        ["check"], ["check", "--level", "2"], ["check", "--semistable"],
+        ["map", "--grid", "2:3"], ["map", "--grid", "2:3", "--m", "1"],
+        ["map", "--grid", "2:3", "--inverse"],
+        ["simulate", "--paths", "20", "--steps", "2"],
+        ["simulate", "--paths", "20", "--steps", "2", "--init", "limit"]]))
+    return spec, [flags[0], "SPEC", "--b", repr(b), *flags[1:]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fuzz_runs())
+def test_fuzzed_commands_end_in_a_documented_exit(tmp_path_factory, run):
+    # every run ends in exit 0-4 with no traceback; exits 2-4 print one
+    # line, and exit 1 is a check verdict
+    spec_obj, argv = run
+    work = tmp_path_factory.mktemp("fuzz")
+    spec = write_spec(work, "spec.json", spec_obj)
+    argv = [spec if a == "SPEC" else a for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv + ["--out", str(work / "out")])
+    err = err.getvalue()
+    assert code in range(5) and "Traceback" not in err
+    if code >= 2:
+        assert err.count("\n") == 1, err
+    assert code != 1 or argv[0] == "check"

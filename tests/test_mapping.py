@@ -175,8 +175,8 @@ def _direct_double_sum(rho, b, zgrid, m, arg_pow, terms=240):
 
 
 # finite lattices on the span's base whose windows straddle radius 1; the
-# deep one has r * b < 1, so summed by phase index its points below radius
-# 1 would cancel O(1e5) terms down to O(1)
+# deep one has r * b < 1, where the phase index sum's masses below radius 1
+# reach 4e23, so only its terms O(theta^2) in the phase keep them bounded
 REGROUP_CASES = {
     "1d": (2.0, [1.0], 0.7, (ms.Segment(w=0.9, r=0.5, kmin=-6, kmax=10),),
            None),

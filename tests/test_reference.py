@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -167,12 +168,9 @@ def test_repeated_index_of_two_segments_reduces_to_one_float():
         <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the cancellation in each e^{iu} - 1, times masses that grow as k "
-    "falls, is in no err_bound (ROADMAP 1(a))"))
 def test_cumulant_bound_holds_on_a_plain_2d_lattice():
-    # masses 0.5 * 2^-k for k <= 2 on direction (1, 2): each term's float
-    # rounding, about 1e-16, is multiplied by masses up to 2^200
+    # masses 0.5 * 2^-k for k <= 2 on direction (1, 2), up to 2^200: the
+    # real part -2 sin^2(u/2) loses no bits where e^{iu} - 1 would cancel
     mpmath = pytest.importorskip("mpmath")
     comp = ms.ScaleLattice([1.0, 2.0], 2.0,
                            (ms.Segment(w=0.5, r=0.5, kmax=2),))
@@ -192,12 +190,10 @@ def test_cumulant_bound_holds_on_a_plain_2d_lattice():
     assert abs(got.values[0] - complex(ref)) <= got.err_bound[0]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "cos u rounds to 1 for tiny u, and the masses that multiply e^{iu} - 1 "
-    "grow as k falls when r b < 1; no err_bound counts it (ROADMAP 1(a))"))
 def test_transition_bound_holds_on_lattice_noise_below_radius_one():
     # base-2 lattice noise over all integers with r b < 1, as ou-simulate
-    # draws it: the terms near u = 1e-8 lose about 1e-16 of m(k) ~ 1e8 each
+    # draws it: masses m(k) ~ 1e8 meet phases near u = 1e-8, where cos u
+    # rounds to 1 but sin^2(u/2) keeps its bits
     mpmath = pytest.importorskip("mpmath")
     lat = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=0.8, r=0.47),), 1.3)
     noise = tp.LevyTriplet(np.zeros((1, 1)), ms.LevyMeasure((lat,)),
@@ -307,3 +303,108 @@ def test_forward_drift_matches_its_series(case):
     # the window tails are within tol; the float radii and masses of the
     # inputs move each of the few hundred terms by a few ulps
     assert float(np.max(np.abs(got - ref))) <= tol + 1e-13
+
+
+EPS = 2.0 ** -52
+# the base-2 lattice noise of ou-simulate over all integers, r b < 1
+NOISE_W, NOISE_R, NOISE_ANCHOR = 0.8, 0.47, 1.3
+
+
+def _noise_reference(mpmath, zs, weights, a, m, j_tail):
+    """mpmath values of ``sum_t w_t sum_k m(k) g(2^(a-t) z, x_k)`` on the
+    noise lattice ``m(k) = 0.8 * 0.47^k``, ``x_k = 1.3 * 2^k`` (``a <= 0``,
+    ``0 <= w_t <= C(t+m, m)``), and a bound on what they leave out.
+
+    The points ``-70 <= k <= 70`` are summed by the phase index ``n = k -
+    t``; at 40 digits the halves that cancel there lose nothing, and 1e-30
+    covers the arithmetic.  With ``u = s x``, ``|g| <= u^2/2 + |u|^3/6 + |u|
+    min(x^2, 1)`` and ``|g| <= 3 + |u|/(1 + x^2) <= 3 + |z|``.  So at a
+    point below radius 1 the weights' sum of ``|g|`` is below ``(4/3)^(m+1)
+    z^2 x^2/2 + ((8/7)^(m+1) |z|^3/6 + 2^(m+1) |z|) x^3``, a geometric sum
+    over ``k < -70`` (ratios 1.88 and 3.76).  Above radius 1 it is below
+    ``(3 + |z|) C(j+m, m+1) + (5/3) 2^(m+1) C(j+m, m)``, with ``j =
+    ceil(log2(|z| x))`` the first term where ``|u| <= 1``, and past ``k =
+    70`` that bound times ``m(k)`` falls by more than half per step.
+    ``j_tail`` adds the terms ``t >= len(weights)`` of the infinite series,
+    where ``|u| <= 1`` on the window: below ``(5/3) |z| x C(J+m, m)
+    2^(m+1-J)`` per point."""
+    k0, k1, J = -70, 70, len(weights)
+    with mpmath.workdps(40):
+        mpf, two = mpmath.mpf, mpmath.mpf(2)
+        w, r, anchor = mpf(NOISE_W), mpf(NOISE_R), mpf(NOISE_ANCHOR)
+        mass = {k: w * r ** k for k in range(k0, k1 + 1)}
+        x = {k: anchor * two ** k for k in range(k0 - J, k1 + 2)}
+        big_m = {n: mpmath.fsum(weights[t] * mass[n + t] for t in range(
+            max(0, k0 - n), min(J, k1 - n + 1)))
+            for n in range(k0 - J + 1, k1 + 1)}
+        centering = sum(weights[t] * two ** (a - t) for t in range(J)) \
+            * mpmath.fsum(mass[k] * x[k] / (1 + x[k] ** 2) for k in mass)
+        values, errs = [], []
+        for z in map(mpf, zs):
+            values.append(complex(mpmath.fsum(
+                (mpmath.expj(z * two ** a * x[n]) - 1) * big_m[n]
+                for n in big_m) - 1j * z * centering))
+            below = sum(c * w * anchor ** p * (r * two ** p) ** k0
+                        / (r * two ** p - 1) for p, c in (
+                            (2, (mpf(4) / 3) ** (m + 1) * z * z / 2),
+                            (3, (mpf(8) / 7) ** (m + 1) * abs(z) ** 3 / 6
+                             + two ** (m + 1) * abs(z))))
+            j = int(mpmath.ceil(mpmath.log(abs(z) * x[k1 + 1], 2)))
+            above = 2 * w * r ** (k1 + 1) * (
+                (3 + abs(z)) * mpmath.binomial(j + m, m + 1)
+                + mpf(5) / 3 * two ** (m + 1) * mpmath.binomial(j + m, m))
+            rest = 0
+            if j_tail:
+                assert abs(z) * x[k1] * two ** -J <= 1
+                rest = mpf(5) / 3 * abs(z) * mpmath.binomial(J + m, m) \
+                    * two ** (m + 1 - J) * mpmath.fsum(
+                        mass[k] * x[k] for k in mass)
+            errs.append(float(below + above + rest) + 1e-30)
+        return values, errs
+
+
+def _judge(got, refs, ref_errs):
+    # check.judge's bound test: the value lies within its err_bound of the
+    # reference, plus the reference's own error and the final rounding
+    for value, bound, ref, ref_err in zip(got.values, got.err_bound, refs,
+                                          ref_errs):
+        assert abs(value - ref) <= bound + ref_err + EPS * abs(ref), \
+            (value, ref, bound)
+
+
+NOISE_ZS = [0.6, 3.5, 4.9]
+
+
+def _noise():
+    lat = ms.ScaleLattice([1.0], 2.0, (ms.Segment(w=NOISE_W, r=NOISE_R),),
+                          NOISE_ANCHOR)
+    return tp.LevyTriplet(np.zeros((1, 1)), ms.LevyMeasure((lat,)),
+                          np.zeros(1))
+
+
+def test_noise_cumulant_bound_holds():
+    mpmath = pytest.importorskip("mpmath")
+    got = tp.cumulant(_noise(), np.array(NOISE_ZS)[:, None])
+    _judge(got, *_noise_reference(mpmath, NOISE_ZS, [1], 0, 0, False))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_noise_forward_series_bound_holds(m):
+    # b equal to the lattice base: every point is summed by phase index
+    mpmath = pytest.importorskip("mpmath")
+    got = mp.forward_cumulant(_noise(), 2.0, NOISE_ZS, m=m)
+    weights = [math.comb(t + m, m) for t in range(110)]
+    _judge(got, *_noise_reference(mpmath, NOISE_ZS, weights, 0, m, True))
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 3])
+def test_noise_transition_bound_holds(epochs):
+    # 0 epochs is the empty series: no kick, the value 0
+    mpmath = pytest.importorskip("mpmath")
+    got = ou.transition_cumulant(_noise(), ou.OUConfig(2.0, 1.0), 0.0,
+                                 float(epochs), np.array(NOISE_ZS)[:, None])
+    if not epochs:
+        assert np.all(got.values == 0.0)
+        return
+    _judge(got, *_noise_reference(mpmath, NOISE_ZS, [1] * epochs, -1, 0,
+                                  False))
